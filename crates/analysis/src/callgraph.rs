@@ -106,7 +106,10 @@ pub fn build(files: &[SourceFile], fns: &[FnItem]) -> CallGraph {
     for (i, f) in fns.iter().enumerate() {
         by_name.entry(f.name.as_str()).or_default().push(i);
     }
-    let crate_of: Vec<&str> = fns.iter().map(|f| FnItem::crate_of(&files[f.file].path)).collect();
+    let crate_of: Vec<&str> = fns
+        .iter()
+        .map(|f| FnItem::crate_of(&files[f.file].path))
+        .collect();
 
     let mut edges: Vec<Vec<usize>> = vec![Vec::new(); fns.len()];
     for (i, f) in fns.iter().enumerate() {
@@ -162,7 +165,7 @@ fn resolve(
             .filter(|&c| {
                 let f = &fns[c];
                 f.impl_type.as_deref() == Some(q.as_str())
-                    || f.modules.iter().any(|m| *m == qn)
+                    || f.modules.contains(&qn)
                     || crate_of[c].replace('-', "_") == qn
                     || files[f.file].path.ends_with(&stem_rs)
                     || q == "Self"
@@ -178,7 +181,10 @@ fn resolve(
         let methods: Vec<usize> = cands
             .iter()
             .copied()
-            .filter(|&c| fns[c].impl_type.is_some() || fns[c].params.first().map(String::as_str) == Some("self"))
+            .filter(|&c| {
+                fns[c].impl_type.is_some()
+                    || fns[c].params.first().map(String::as_str) == Some("self")
+            })
             .collect();
         return prefer_local(methods, fns, crate_of, caller, caller_crate);
     }
@@ -262,7 +268,10 @@ mod tests {
     #[test]
     fn same_file_resolution_wins() {
         let (_, fns, g) = ws(&[
-            ("crates/a/src/lib.rs", "fn caller() { helper() } fn helper() {}"),
+            (
+                "crates/a/src/lib.rs",
+                "fn caller() { helper() } fn helper() {}",
+            ),
             ("crates/b/src/lib.rs", "fn helper() {}"),
         ]);
         let c = idx(&fns, "caller");
@@ -287,7 +296,10 @@ mod tests {
                 "crates/a/src/lib.rs",
                 "fn caller(w: Wal) { w.append(1) } fn append() {}",
             ),
-            ("crates/b/src/lib.rs", "impl Wal { fn append(&mut self, x: u32) {} }"),
+            (
+                "crates/b/src/lib.rs",
+                "impl Wal { fn append(&mut self, x: u32) {} }",
+            ),
         ]);
         let c = idx(&fns, "caller");
         let target = fns
@@ -305,17 +317,17 @@ mod tests {
                 "fn caller() { Wal::open(); other::open(); Vec::new() }",
             ),
             ("crates/b/src/lib.rs", "impl Wal { fn open() {} }"),
-            ("crates/c/src/lib.rs", "mod other { pub fn open() {} } fn new() {}"),
+            (
+                "crates/c/src/lib.rs",
+                "mod other { pub fn open() {} } fn new() {}",
+            ),
         ]);
         let c = idx(&fns, "caller");
         let wal_open = fns
             .iter()
             .position(|f| f.impl_type.as_deref() == Some("Wal"))
             .unwrap();
-        let mod_open = fns
-            .iter()
-            .position(|f| f.modules == ["other"])
-            .unwrap();
+        let mod_open = fns.iter().position(|f| f.modules == ["other"]).unwrap();
         assert!(g.edges[c].contains(&wal_open));
         assert!(g.edges[c].contains(&mod_open));
         // `Vec::new` must not resolve to the unrelated free fn `new`.

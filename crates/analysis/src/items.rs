@@ -96,8 +96,7 @@ pub fn extract_fns(file: &SourceFile, file_idx: usize) -> Vec<FnItem> {
                 // (uppercase) and `fn` pointer types appear in type
                 // position where we still extract nothing (no name
                 // ident follows — `fn(` fails the name check below).
-                if let Some(item) =
-                    extract_one(file, file_idx, i, &module_stack, impl_ctx(&scopes))
+                if let Some(item) = extract_one(file, file_idx, i, &module_stack, impl_ctx(&scopes))
                 {
                     out.push(item);
                 }
@@ -226,12 +225,14 @@ fn extract_one(
             (TokKind::Ident, "self") if paren == 1 && seen_params && params.is_empty() => {
                 params.push("self".to_string());
             }
-            (TokKind::Ident, _) if paren == 1 && seen_params => {
-                // A parameter name is an ident directly followed by `:`
-                // (the fused `::` token cannot be confused with it).
-                if toks.get(j + 1).map(|n| n.text.as_str()) == Some(":") {
-                    params.push(t.ident_name().to_string());
-                }
+            // A parameter name is an ident directly followed by `:`
+            // (the fused `::` token cannot be confused with it).
+            (TokKind::Ident, _)
+                if paren == 1
+                    && seen_params
+                    && toks.get(j + 1).map(|n| n.text.as_str()) == Some(":") =>
+            {
+                params.push(t.ident_name().to_string());
             }
             _ => {}
         }

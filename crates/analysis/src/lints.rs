@@ -44,6 +44,9 @@ pub const A4_SCOPE: &[&str] = &[
     "crates/hashing/src/",
     "crates/core/src/",
     "crates/server/src/lib.rs",
+    // The serving substrate reads and writes every frame of both front
+    // ends; its accept-path hand-off mutex carries an explicit allow.
+    "crates/server/src/serve.rs",
     // The replication module's poll loop and ack gate sit between the
     // persist lock and every sequenced ack; its deliberate waits (gate
     // tick, poll pacing, reconnect backoff) carry explicit allows.
@@ -57,8 +60,7 @@ pub const A4_SCOPE: &[&str] = &[
     // creation and the post-mortem path carry explicit allows).
     "crates/trace/src/",
     // Router fan-out sits on the per-batch path end to end; the
-    // accept-loop hand-off mutex and the shard-retry backoff sleeps
-    // carry explicit allows, mirroring the server crate.
+    // shard-retry backoff sleeps carry explicit allows.
     "crates/cluster/src/",
 ];
 

@@ -27,24 +27,22 @@ use crate::lints;
 use crate::source::SourceFile;
 
 /// The serving/replication entry points reachability starts from:
-/// `(path suffix, fn name)`. Accept loops, connection handlers, frame
-/// loops, the replication poll loop and its wire-facing handlers, and
-/// the router's supervision/failover path.
+/// `(path suffix, fn name)`. The serving substrate's acceptor,
+/// connection loop and frame reader, each front end's request handler,
+/// the replication poll loop and its wire-facing handlers, and the
+/// router's supervision/failover path.
 pub const ENTRY_POINTS: &[(&str, &str)] = &[
-    ("crates/server/src/lib.rs", "accept_loop"),
-    ("crates/server/src/lib.rs", "handle_connection"),
-    ("crates/server/src/lib.rs", "serve_frames"),
-    ("crates/server/src/lib.rs", "next_frame"),
+    ("crates/server/src/serve.rs", "accept_loop"),
+    ("crates/server/src/serve.rs", "serve_connection"),
+    ("crates/server/src/serve.rs", "next_frame"),
+    ("crates/server/src/lib.rs", "serve_frame"),
     ("crates/server/src/lib.rs", "handle_update_batch"),
     ("crates/server/src/replication.rs", "run"),
     ("crates/server/src/replication.rs", "serve_poll"),
     ("crates/server/src/replication.rs", "apply_push"),
     ("crates/server/src/replication.rs", "apply_chunk"),
     ("crates/server/src/replication.rs", "promote"),
-    ("crates/cluster/src/router.rs", "accept_loop"),
-    ("crates/cluster/src/router.rs", "handle_connection"),
-    ("crates/cluster/src/router.rs", "serve_frames"),
-    ("crates/cluster/src/router.rs", "next_frame"),
+    ("crates/cluster/src/router.rs", "serve_frame"),
     ("crates/cluster/src/router.rs", "supervise"),
     ("crates/cluster/src/router.rs", "try_failover"),
 ];

@@ -99,7 +99,11 @@ fn v3_mentions(file: &SourceFile, v3: &[String]) -> Vec<usize> {
 /// parsed from the wire frame source (`enum Kind { Name = N, … }`).
 /// `Kind` and `Frame` variant names coincide by construction.
 pub fn v3_variants(ws: &Workspace) -> Vec<String> {
-    let Some(file) = ws.files.iter().find(|f| f.path.ends_with("wire/src/frame.rs")) else {
+    let Some(file) = ws
+        .files
+        .iter()
+        .find(|f| f.path.ends_with("wire/src/frame.rs"))
+    else {
         return Vec::new();
     };
     let toks = &file.toks;

@@ -78,7 +78,11 @@ fn is_epoch_comparison(file: &SourceFile, j: usize) -> bool {
     let after = |d: usize| toks.get(j + d).map(|n| n.text.as_str());
     let cmp_after = matches!(after(1), Some("<") | Some(">") | Some("!"))
         || (after(1) == Some("=") && after(2) == Some("="));
-    let before = |d: usize| j.checked_sub(d).and_then(|p| toks.get(p)).map(|n| n.text.as_str());
+    let before = |d: usize| {
+        j.checked_sub(d)
+            .and_then(|p| toks.get(p))
+            .map(|n| n.text.as_str())
+    };
     let cmp_before = matches!(before(1), Some("<") | Some(">"))
         || (before(1) == Some("=")
             && matches!(before(2), Some("<") | Some(">") | Some("=") | Some("!")));

@@ -138,10 +138,7 @@ pub(crate) fn group_end(file: &SourceFile, open: usize) -> Option<usize> {
 pub(crate) fn is_pattern_position(file: &SourceFile, variant: usize) -> bool {
     let toks = &file.toks;
     let mut j = variant + 1;
-    if matches!(
-        toks.get(j).map(|t| t.text.as_str()),
-        Some("(") | Some("{")
-    ) {
+    if matches!(toks.get(j).map(|t| t.text.as_str()), Some("(") | Some("{")) {
         match group_end(file, j) {
             Some(c) => j = c + 1,
             None => return false,
@@ -238,11 +235,7 @@ mod tests {
             "fn outer() { fn inner() { body() } inner() }",
         )];
         let ws = Workspace::build(&files);
-        let body = files[0]
-            .toks
-            .iter()
-            .position(|t| t.text == "body")
-            .unwrap();
+        let body = files[0].toks.iter().position(|t| t.text == "body").unwrap();
         let f = ws.fn_containing(0, body).unwrap();
         assert_eq!(ws.fns[f].name, "inner");
     }

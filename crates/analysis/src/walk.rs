@@ -19,7 +19,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Directory names never descended into.
-const SKIP_DIRS: &[&str] = &["target", ".git", "shims", "results", "tests", "benches", "fixtures"];
+const SKIP_DIRS: &[&str] = &[
+    "target", ".git", "shims", "results", "tests", "benches", "fixtures",
+];
 
 /// A file selected for analysis, with its repo-relative path and text.
 #[derive(Debug)]
@@ -62,9 +64,7 @@ pub fn collect(root: &Path) -> io::Result<Inputs> {
                     text: fs::read_to_string(&path)?,
                 });
             } else if name.ends_with(".rs")
-                && rel
-                    .split('/')
-                    .any(|seg| seg == "src" || seg == "examples")
+                && rel.split('/').any(|seg| seg == "src" || seg == "examples")
             {
                 out.sources.push(Input {
                     path: rel,

@@ -529,13 +529,13 @@ fn a9_correct_order_and_suppression_are_honored() {
 
 #[test]
 fn a10_panic_reachable_from_entry_point_is_caught() {
-    // `handle_connection` (a serving entry point) calls into a crate
+    // `serve_frame` (a serving entry point) calls into a crate
     // outside a2's module allowlist; the unwrap there is reachable.
     // The uncalled neighbor with the same unwrap is not flagged.
     let a = run(&[
         (
             "crates/server/src/lib.rs",
-            "fn handle_connection(x: Option<u8>) -> u8 { helper_crunch(x) }\n",
+            "fn serve_frame(x: Option<u8>) -> u8 { helper_crunch(x) }\n",
         ),
         (
             "crates/query/src/lib.rs",
@@ -569,7 +569,7 @@ fn a10_suppressions_are_honored() {
     let a = run(&[
         (
             "crates/server/src/lib.rs",
-            "fn handle_connection(x: Option<u8>) -> u8 { helper_crunch(x) }\n",
+            "fn serve_frame(x: Option<u8>) -> u8 { helper_crunch(x) }\n",
         ),
         (
             "crates/query/src/lib.rs",

@@ -2,7 +2,9 @@
 //! with `--no-default-features` every handle is a ZST no-op and the
 //! `Option` wrappers at call sites fold away.
 //!
-//! Two layers: process-wide counters for the router's own traffic, and
+//! Two layers: process-wide counters for the router's own traffic (the
+//! connection-level `router_connections` / `router_frames_total` family
+//! is registered by the `stream_server::serve` substrate), and
 //! per-shard handles (fan-out round-trip histograms, health gauges,
 //! retry counters) labelled by partition index so `ssketch top` can
 //! show one row per shard.
@@ -12,16 +14,6 @@ use stream_telemetry::{Counter, Gauge, Histogram, Unit};
 
 /// Cached process-wide handles for the router's metrics.
 pub(crate) struct RouterMetrics {
-    /// Currently open client connections.
-    pub connections: Arc<Gauge>,
-    /// Connections accepted since start.
-    pub accepted: Arc<Counter>,
-    /// Frames received from clients.
-    pub frames_rx: Arc<Counter>,
-    /// Frames sent to clients.
-    pub frames_tx: Arc<Counter>,
-    /// Frames that failed header/CRC/payload decoding.
-    pub decode_errors: Arc<Counter>,
     /// UPDATE_BATCH frames routed (counted once, not per shard).
     pub batches_in: Arc<Counter>,
     /// Updates fanned out to shards.
@@ -50,11 +42,6 @@ pub(crate) fn router_metrics() -> &'static RouterMetrics {
         let lat =
             |kind: &str| r.histogram_with("router_request_seconds", &[("kind", kind)], Unit::Nanos);
         RouterMetrics {
-            connections: r.gauge("router_connections"),
-            accepted: r.counter("router_connections_total"),
-            frames_rx: r.counter_with("router_frames_total", &[("dir", "rx")]),
-            frames_tx: r.counter_with("router_frames_total", &[("dir", "tx")]),
-            decode_errors: r.counter("router_decode_errors_total"),
             batches_in: r.counter("router_batches_total"),
             updates_routed: r.counter("router_updates_routed_total"),
             queries: r.counter("router_queries_total"),

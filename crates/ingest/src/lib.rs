@@ -707,15 +707,55 @@ mod tests {
         assert_eq!(got.counters(), seq.counters());
     }
 
+    /// A synopsis whose batch kernel blocks until the test releases it,
+    /// so a worker can be held provably busy: each `update_batch` waits
+    /// for one token (or for the sender to drop, which releases all).
+    #[derive(Clone)]
+    struct GatedSketch {
+        inner: HashSketch,
+        gate: Arc<std::sync::Mutex<std::sync::mpsc::Receiver<()>>>,
+    }
+
+    impl StreamSink for GatedSketch {
+        fn update(&mut self, u: Update) {
+            self.inner.update(u);
+        }
+        fn update_batch(&mut self, batch: &[Update]) {
+            let _ = self.gate.lock().map(|rx| rx.recv());
+            self.inner.update_batch(batch);
+        }
+    }
+
+    impl LinearSynopsis for GatedSketch {
+        fn compatible(&self, other: &Self) -> bool {
+            self.inner.compatible(&other.inner)
+        }
+        fn merge_from(&mut self, other: &Self) {
+            self.inner.merge_from(&other.inner);
+        }
+        fn negate(&mut self) {
+            self.inner.negate();
+        }
+        fn clear(&mut self) {
+            self.inner.clear();
+        }
+    }
+
     #[test]
     fn try_dispatch_hands_the_chunk_back_when_saturated() {
-        // A worker wedged on a snapshot reply it can never receive would
-        // be contrived; instead saturate the queue faster than one worker
-        // can drain it and require at least one rejection, then verify
-        // nothing was lost or duplicated.
+        // The single worker blocks inside its first `update_batch` until
+        // the gate opens, so it holds at most one chunk and the depth-1
+        // queue at most one more: of four dispatches at least two must
+        // bounce. Then open the gate and verify nothing was lost or
+        // duplicated.
         let schema = HashSketchSchema::new(7, 256, 23);
         let updates = mixed_updates(120_000);
-        let pool = IngestPool::with_queue_depth(1, 1, || HashSketch::new(schema.clone()));
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let gate = Arc::new(std::sync::Mutex::new(gate));
+        let pool = IngestPool::with_queue_depth(1, 1, || GatedSketch {
+            inner: HashSketch::new(schema.clone()),
+            gate: gate.clone(),
+        });
         let mut rejected = 0u64;
         let mut accepted: Vec<Update> = Vec::new();
         for chunk in updates.chunks(30_000) {
@@ -728,12 +768,11 @@ mod tests {
             }
             assert!(pool.pending_chunks() <= pool.queue_capacity());
         }
+        drop(release);
         let got = pool.finish().expect("no worker panicked");
         let mut seq = HashSketch::new(schema);
         seq.update_batch(&accepted);
-        assert_eq!(got.counters(), seq.counters());
-        // With depth 1 and 30k-update chunks the single worker cannot keep
-        // up with a dispatch loop that does no work in between.
+        assert_eq!(got.inner.counters(), seq.counters());
         assert!(rejected > 0, "expected at least one Full rejection");
     }
 

@@ -3,8 +3,7 @@
 //! The stream query-processing engine of the paper's Fig. 1, built on
 //! skimmed sketches: one-pass `COUNT` / `SUM` / `AVERAGE` over the join of
 //! two update streams, with selection predicates applied before the
-//! synopses, exact sharded parallel ingestion (by sketch linearity), and
-//! the chain multi-join extension of Dobra et al. that §1/§6 of the paper
+//! synopses, and the chain multi-join extension of Dobra et al. that §1/§6 of the paper
 //! point to.
 
 #![forbid(unsafe_code)]
@@ -18,7 +17,6 @@ pub mod multijoin;
 pub mod partitioned;
 pub mod predicate;
 pub mod record;
-pub mod sharded;
 pub mod star;
 
 pub use continuous::{ContinuousQuery, SeriesPoint};
@@ -28,5 +26,4 @@ pub use multijoin::{estimate_chain_join, ChainJoinSchema, ChainRelationSketch};
 pub use partitioned::{DomainPartition, PartitionedAgmsSketch, PartitionedSchema};
 pub use predicate::Predicate;
 pub use record::{Op, Record};
-pub use sharded::{ingest_sharded, SharedSketch};
 pub use star::{estimate_star_join, StarCenterSketch, StarEdgeSketch, StarJoinSchema};

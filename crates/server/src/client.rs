@@ -91,7 +91,10 @@ impl std::fmt::Display for ClientError {
                 write!(f, "protocol version {offered} rejected: {message}")
             }
             ClientError::V3Required { negotiated } => {
-                write!(f, "request requires protocol >= 3, session negotiated {negotiated}")
+                write!(
+                    f,
+                    "request requires protocol >= 3, session negotiated {negotiated}"
+                )
             }
             ClientError::Exhausted { attempts, last } => {
                 write!(f, "gave up after {attempts} reconnect attempts: {last}")

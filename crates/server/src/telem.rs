@@ -2,31 +2,17 @@
 //! workspace: with `--no-default-features` every handle below is a ZST
 //! no-op and the `Option` wrappers at call sites fold away.
 //!
-//! The metric set answers the operational questions a serving front-end
-//! raises: how many connections are live, how much traffic each frame
-//! direction carries, how often decodes fail (a corruption / hostile
-//! client signal), how often producers are throttled (a capacity
-//! signal), and the latency of each request kind.
+//! The connection-level metrics (live connections, frame and byte
+//! traffic, decode errors, thread panics) belong to the [`crate::serve`]
+//! substrate; this set answers the server's own questions: how often
+//! producers are throttled (a capacity signal), what the WAL and
+//! replication are doing, and the latency of each request kind.
 
 use std::sync::{Arc, OnceLock};
 use stream_telemetry::{Counter, FloatGauge, Gauge, Histogram, Unit};
 
 /// Cached handles for the server's metrics.
 pub(crate) struct ServerMetrics {
-    /// Currently open client connections.
-    pub connections: Arc<Gauge>,
-    /// Connections accepted since start.
-    pub accepted: Arc<Counter>,
-    /// Frames received from clients.
-    pub frames_rx: Arc<Counter>,
-    /// Frames sent to clients.
-    pub frames_tx: Arc<Counter>,
-    /// Wire bytes received from clients.
-    pub bytes_rx: Arc<Counter>,
-    /// Wire bytes sent to clients.
-    pub bytes_tx: Arc<Counter>,
-    /// Frames that failed header/CRC/payload decoding.
-    pub decode_errors: Arc<Counter>,
     /// UPDATE_BATCH frames bounced with THROTTLE.
     pub throttles: Arc<Counter>,
     /// Updates accepted into the ingest pools over the wire.
@@ -61,8 +47,6 @@ pub(crate) struct ServerMetrics {
     /// Times the primary's prune horizon passed this follower's frontier
     /// mid-run (replication parks; a restart re-bootstraps).
     pub replication_resyncs: Arc<Counter>,
-    /// Acceptor / connection-handler threads lost to panics.
-    pub thread_panics: Arc<Counter>,
     /// INSPECT requests answered.
     pub inspects: Arc<Counter>,
     /// Queries that crossed the slow-query threshold.
@@ -92,13 +76,6 @@ pub(crate) fn server_metrics() -> &'static ServerMetrics {
         let lat =
             |kind: &str| r.histogram_with("server_request_seconds", &[("kind", kind)], Unit::Nanos);
         ServerMetrics {
-            connections: r.gauge("server_connections"),
-            accepted: r.counter("server_connections_total"),
-            frames_rx: r.counter_with("server_frames_total", &[("dir", "rx")]),
-            frames_tx: r.counter_with("server_frames_total", &[("dir", "tx")]),
-            bytes_rx: r.counter_with("server_bytes_total", &[("dir", "rx")]),
-            bytes_tx: r.counter_with("server_bytes_total", &[("dir", "tx")]),
-            decode_errors: r.counter("server_decode_errors_total"),
             throttles: r.counter("server_throttle_total"),
             updates_accepted: r.counter("server_updates_accepted_total"),
             dup_batches: r.counter("server_dup_batches_total"),
@@ -117,7 +94,6 @@ pub(crate) fn server_metrics() -> &'static ServerMetrics {
             replication_fenced: r.counter("server_replication_fenced_total"),
             replication_promotions: r.counter("server_replication_promotions_total"),
             replication_resyncs: r.counter("server_replication_resyncs_total"),
-            thread_panics: r.counter("server_thread_panics_total"),
             inspects: r.counter("server_inspect_total"),
             slow_queries: r.counter("server_slow_queries_total"),
             audit_ratio_error: r.float_gauge("server_audit_ratio_error"),

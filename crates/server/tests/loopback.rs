@@ -318,3 +318,14 @@ fn v2_session_refuses_v3_requests_client_side() {
     v2.goodbye().unwrap();
     server.shutdown().unwrap();
 }
+
+#[test]
+fn zero_handler_threads_is_a_typed_bind_error() {
+    let schema = SkimmedSchema::scanning(Domain::with_log2(8), 3, 32, 1);
+    let mut config = ServerConfig::new(schema);
+    config.handler_threads = 0;
+    match Server::bind("127.0.0.1:0", config) {
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput),
+        Ok(_) => panic!("a server with no handlers must refuse to bind"),
+    }
+}

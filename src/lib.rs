@@ -14,7 +14,7 @@
 //! * [`skim`] (`skimmed-sketch`) — the paper's contribution: SKIMDENSE,
 //!   dyadic extraction, and ESTSKIMJOINSIZE.
 //! * [`query`] (`stream-query`) — a one-pass COUNT/SUM/AVERAGE join-query
-//!   engine with predicates, sharded ingestion, and chain multi-joins.
+//!   engine with predicates and chain multi-joins.
 //! * [`ingest`] (`stream-ingest`) — batched, multi-core ingestion: a
 //!   sharded worker pool feeding per-thread sketches via the
 //!   loop-interchanged batch kernels, merged by linearity into a sketch

@@ -6,7 +6,6 @@ use rand::SeedableRng;
 use skimmed_sketches::prelude::*;
 use stream_model::gen::{CensusGenerator, DeleteMix, UniformGenerator, ZipfGenerator};
 use stream_model::metrics::ratio_error;
-use stream_query::ingest_sharded;
 
 fn zipf_pair(
     domain: Domain,
@@ -129,8 +128,9 @@ fn sharded_ingest_feeds_estimation_identically() {
     let domain = Domain::with_log2(12);
     let (uf, ug, actual) = zipf_pair(domain, 1.1, 30, 40_000, 13);
     let schema = SkimmedSchema::scanning(domain, 5, 256, 8);
-    let sf = ingest_sharded(&schema, &uf, 4);
-    let sg = ingest_sharded(&schema, &ug, 4);
+    // 4 workers over 1Ki-update chunks; bit-identical to sequential ingest.
+    let sf = ingest_parallel(&uf, 4, 1024, || SkimmedSketch::new(schema.clone()));
+    let sg = ingest_parallel(&ug, 4, 1024, || SkimmedSketch::new(schema.clone()));
     let est = skimmed_sketch::estimate_join(&sf, &sg, &Default::default());
     let err = ratio_error(est.estimate, actual);
     assert!(err < 0.2, "err={err}");
