@@ -1,179 +1,118 @@
 //! Wire codec for skimmed sketches.
 //!
-//! Extends the per-sketch codec of `stream-sketches` to the full
+//! Extends the hash-sketch codec of `stream-sketches` to the full
 //! [`SkimmedSketch`]: strategy, domain, shape, seed, tracked L1 mass, and
 //! the counters of every level (one level when scanning, `log2(N)+1` when
 //! dyadic). A decoded sketch is bit-identical to the original — same
 //! estimates, mergeable with compatible local sketches — so sites can ship
 //! complete skimmed synopses, not just their level-0 projections.
 //!
-//! Format (little-endian):
+//! Format (little-endian; the per-level counter block is
+//! `stream_model::codec`'s, the same one SSK1 uses):
 //!
 //! ```text
 //! magic "SSKM" | version u16 | strategy u8 | domain_log2 u8
 //! tables u32 | buckets u32 | seed u64 | l1_mass u64 | levels u16
 //! per level: count u32, then count zigzag-varint counters
 //! ```
+//!
+//! Decoding errors are [`stream_sketches::CodecError`], shared with SSK1.
 
+use crate::dyadic::level_buckets;
 use crate::estimator::{ExtractionStrategy, SkimmedSchema, SkimmedSketch};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::sync::Arc;
+use bytes::Bytes;
+use stream_model::codec::{put_counters, Reader};
+use stream_model::Domain;
+use stream_sketches::codec::{put_shape, read_shape};
+use stream_sketches::CodecError;
 
 const MAGIC: &[u8; 4] = b"SSKM";
 const VERSION: u16 = 1;
-
-/// Decoding errors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SkimCodecError {
-    /// Header magic mismatch.
-    BadMagic,
-    /// Unsupported version.
-    BadVersion(u16),
-    /// Unknown strategy tag.
-    BadStrategy(u8),
-    /// Buffer ended early or malformed varint.
-    Truncated,
-    /// Level shape did not match the declared schema.
-    ShapeMismatch,
-}
-
-impl std::fmt::Display for SkimCodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SkimCodecError::BadMagic => write!(f, "bad skimmed-sketch magic"),
-            SkimCodecError::BadVersion(v) => write!(f, "unsupported version {v}"),
-            SkimCodecError::BadStrategy(s) => write!(f, "unknown strategy tag {s}"),
-            SkimCodecError::Truncated => write!(f, "buffer truncated"),
-            SkimCodecError::ShapeMismatch => write!(f, "level shape mismatch"),
-        }
-    }
-}
-
-impl std::error::Error for SkimCodecError {}
-
-fn put_varint(buf: &mut BytesMut, mut x: u64) {
-    loop {
-        // ss-analyze: allow(a5-numeric-narrowing) -- masked to 7 bits, fits u8 by construction
-        let byte = (x & 0x7F) as u8;
-        x >>= 7;
-        if x == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
-    }
-}
-
-fn get_varint(buf: &mut Bytes) -> Result<u64, SkimCodecError> {
-    let mut x = 0u64;
-    for shift in (0..64).step_by(7) {
-        if !buf.has_remaining() {
-            return Err(SkimCodecError::Truncated);
-        }
-        let byte = buf.get_u8();
-        x |= u64::from(byte & 0x7F) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(x);
-        }
-    }
-    Err(SkimCodecError::Truncated)
-}
-
-#[inline]
-fn zigzag(w: i64) -> u64 {
-    // ss-analyze: allow(a5-numeric-narrowing) -- deliberate two's-complement reinterpretation; zigzag is a bijection on the full 64-bit range
-    ((w << 1) ^ (w >> 63)) as u64
-}
-
-#[inline]
-fn unzigzag(z: u64) -> i64 {
-    // ss-analyze: allow(a5-numeric-narrowing) -- inverse of the zigzag bijection; both casts reinterpret bits on purpose
-    ((z >> 1) as i64) ^ -((z & 1) as i64)
-}
 
 /// Encodes a skimmed sketch into a self-describing buffer.
 pub fn encode_skimmed(sk: &SkimmedSketch) -> Bytes {
     let schema = sk.schema();
     let levels = sk.level_counters();
-    let mut buf = BytesMut::with_capacity(40 + levels.iter().map(|l| l.len() * 2).sum::<usize>());
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u8(match schema.strategy() {
+    let mut out = Vec::with_capacity(34 + levels.iter().map(|l| 4 + l.len() * 2).sum::<usize>());
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.push(match schema.strategy() {
         ExtractionStrategy::NaiveScan => 0,
         ExtractionStrategy::Dyadic => 1,
     });
-    // ss-analyze: allow(a5-numeric-narrowing) -- `log2_size() <= 64` by `Domain`'s invariant, fits u8
-    buf.put_u8(schema.domain().log2_size() as u8);
-    // ss-analyze: allow(a5-numeric-narrowing) -- header fields are u32 by format; a schema with 2^32 tables or buckets is not constructible in memory
-    buf.put_u32_le(schema.base().tables() as u32);
-    // ss-analyze: allow(a5-numeric-narrowing) -- same u32 format bound as `tables`
-    buf.put_u32_le(schema.base().buckets() as u32);
-    buf.put_u64_le(schema.seed());
-    buf.put_u64_le(sk.l1_mass());
-    // ss-analyze: allow(a5-numeric-narrowing) -- at most `log2(domain)+1 <= 65` levels, fits u16
-    buf.put_u16_le(levels.len() as u16);
+    // `Domain` caps `log2_size` at 63, hence at most 64 levels: neither
+    // narrowing saturates.
+    out.push(u8::try_from(schema.domain().log2_size()).unwrap_or(u8::MAX));
+    put_shape(&mut out, schema.base());
+    out.extend_from_slice(&schema.seed().to_le_bytes());
+    out.extend_from_slice(&sk.l1_mass().to_le_bytes());
+    let level_count = u16::try_from(levels.len()).unwrap_or(u16::MAX);
+    out.extend_from_slice(&level_count.to_le_bytes());
     for level in levels {
-        // ss-analyze: allow(a5-numeric-narrowing) -- per-level counter count is tables*buckets, already bounded by the u32 header fields above
-        buf.put_u32_le(level.len() as u32);
-        for &c in level {
-            put_varint(&mut buf, zigzag(c));
-        }
+        put_counters(&mut out, level);
     }
-    buf.freeze()
+    Bytes::from(out)
 }
 
 /// Decodes a skimmed sketch, reconstructing the schema from the header.
-pub fn decode_skimmed(mut buf: Bytes) -> Result<SkimmedSketch, SkimCodecError> {
-    if buf.remaining() < 34 {
-        return Err(SkimCodecError::Truncated);
+///
+/// Every header field is range-checked, and the counter total the header
+/// implies is bounded by the bytes that follow, before any schema or
+/// counter array is built: no input panics, and none allocates more
+/// counters than it has bytes.
+pub fn decode_skimmed(buf: Bytes) -> Result<SkimmedSketch, CodecError> {
+    let mut r = Reader::new(&buf);
+    if r.take(MAGIC.len())? != MAGIC {
+        return Err(CodecError::BadMagic);
     }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(SkimCodecError::BadMagic);
-    }
-    let version = buf.get_u16_le();
+    let version = r.u16()?;
     if version != VERSION {
-        return Err(SkimCodecError::BadVersion(version));
+        return Err(CodecError::BadVersion(version));
     }
-    let strategy = match buf.get_u8() {
+    let strategy = match r.u8()? {
         0 => ExtractionStrategy::NaiveScan,
         1 => ExtractionStrategy::Dyadic,
-        s => return Err(SkimCodecError::BadStrategy(s)),
+        s => return Err(CodecError::BadStrategy(s)),
     };
-    let log2 = u32::from(buf.get_u8());
-    let tables = buf.get_u32_le() as usize;
-    let buckets = buf.get_u32_le() as usize;
-    let seed = buf.get_u64_le();
-    let l1_mass = buf.get_u64_le();
-    let level_count = buf.get_u16_le() as usize;
+    let domain =
+        Domain::try_with_log2(u32::from(r.u8()?)).ok_or(CodecError::OutOfRange("domain_log2"))?;
+    let (tables, buckets) = read_shape(&mut r)?;
+    let seed = r.u64()?;
+    let l1_mass = r.u64()?;
+    let level_count = usize::from(r.u16()?);
 
-    let domain = stream_model::Domain::with_log2(log2);
-    let schema: Arc<SkimmedSchema> = match strategy {
+    // Buckets per table at each level, as the schema will build them.
+    let shape: Vec<usize> = match strategy {
+        ExtractionStrategy::NaiveScan => vec![buckets],
+        ExtractionStrategy::Dyadic => (0..domain.levels())
+            .map(|level| level_buckets(domain, buckets, level))
+            .collect(),
+    };
+    if shape.len() != level_count {
+        return Err(CodecError::ShapeMismatch);
+    }
+    shape
+        .iter()
+        .try_fold(0usize, |total, &b| {
+            total.checked_add(b.checked_mul(tables)?)
+        })
+        .filter(|&total| total <= r.remaining())
+        .ok_or(CodecError::Oversize)?;
+    let mut levels = Vec::with_capacity(level_count);
+    for b in shape {
+        let counters = r.counters()?;
+        if counters.len() != b * tables {
+            return Err(CodecError::ShapeMismatch);
+        }
+        levels.push(counters);
+    }
+    r.finish()?;
+
+    let schema = match strategy {
         ExtractionStrategy::NaiveScan => SkimmedSchema::scanning(domain, tables, buckets, seed),
         ExtractionStrategy::Dyadic => SkimmedSchema::dyadic(domain, tables, buckets, seed),
     };
     let mut sk = SkimmedSketch::new(schema);
-    let expected = sk.level_counters();
-    if expected.len() != level_count {
-        return Err(SkimCodecError::ShapeMismatch);
-    }
-    let shapes: Vec<usize> = expected.iter().map(|l| l.len()).collect();
-    let mut levels: Vec<Vec<i64>> = Vec::with_capacity(level_count);
-    for &want in &shapes {
-        if buf.remaining() < 4 {
-            return Err(SkimCodecError::Truncated);
-        }
-        let count = buf.get_u32_le() as usize;
-        if count != want {
-            return Err(SkimCodecError::ShapeMismatch);
-        }
-        let mut counters = Vec::with_capacity(count);
-        for _ in 0..count {
-            counters.push(unzigzag(get_varint(&mut buf)?));
-        }
-        levels.push(counters);
-    }
     sk.restore(levels, l1_mass);
     Ok(sk)
 }
@@ -184,6 +123,7 @@ mod tests {
     use crate::estimator::{estimate_join, EstimatorConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
     use stream_model::gen::ZipfGenerator;
     use stream_model::update::StreamSink;
     use stream_model::Domain;
@@ -245,15 +185,78 @@ mod tests {
         bad[0] = b'Z';
         assert_eq!(
             decode_skimmed(Bytes::from(bad)).unwrap_err(),
-            SkimCodecError::BadMagic
+            CodecError::BadMagic
         );
         let cut = Bytes::from(good[..good.len() - 1].to_vec());
-        assert_eq!(decode_skimmed(cut).unwrap_err(), SkimCodecError::Truncated);
+        assert_eq!(decode_skimmed(cut).unwrap_err(), CodecError::Truncated);
         let mut badstrat = good.to_vec();
         badstrat[6] = 9;
         assert_eq!(
             decode_skimmed(Bytes::from(badstrat)).unwrap_err(),
-            SkimCodecError::BadStrategy(9)
+            CodecError::BadStrategy(9)
+        );
+        let mut trailing = good.to_vec();
+        trailing.push(0);
+        assert_eq!(
+            decode_skimmed(Bytes::from(trailing)).unwrap_err(),
+            CodecError::TrailingBytes
+        );
+    }
+
+    /// A valid encoding of an empty sketch with header bytes `at..`
+    /// overwritten by `with`.
+    fn crafted(schema: Arc<SkimmedSchema>, at: usize, with: &[u8]) -> Bytes {
+        let mut raw = encode_skimmed(&SkimmedSketch::new(schema)).to_vec();
+        raw[at..at + with.len()].copy_from_slice(with);
+        Bytes::from(raw)
+    }
+
+    #[test]
+    fn decode_skimmed_rejects_a_domain_above_63() {
+        for schema in [
+            SkimmedSchema::scanning(Domain::with_log2(6), 2, 16, 1),
+            SkimmedSchema::dyadic(Domain::with_log2(6), 2, 16, 1),
+        ] {
+            assert_eq!(
+                decode_skimmed(crafted(schema, 7, &[64])).unwrap_err(),
+                CodecError::OutOfRange("domain_log2")
+            );
+        }
+    }
+
+    #[test]
+    fn decode_skimmed_rejects_zero_tables_and_buckets() {
+        let schema = SkimmedSchema::scanning(Domain::with_log2(6), 2, 16, 1);
+        assert_eq!(
+            decode_skimmed(crafted(schema.clone(), 8, &0u32.to_le_bytes())).unwrap_err(),
+            CodecError::OutOfRange("tables")
+        );
+        assert_eq!(
+            decode_skimmed(crafted(schema, 12, &0u32.to_le_bytes())).unwrap_err(),
+            CodecError::OutOfRange("buckets")
+        );
+    }
+
+    #[test]
+    fn decode_skimmed_rejects_counter_totals_beyond_the_body() {
+        // 64 × 2^16 counters, declared by the header and by the level's
+        // count, over a ~60-byte body: rejected before the schema (and
+        // its 32 MiB of counters) is built.
+        let schema = SkimmedSchema::scanning(Domain::with_log2(6), 2, 16, 1);
+        let mut raw = crafted(schema, 8, &64u32.to_le_bytes()).to_vec();
+        raw[12..16].copy_from_slice(&(1u32 << 16).to_le_bytes());
+        raw[34..38].copy_from_slice(&(64u32 << 16).to_le_bytes());
+        assert_eq!(
+            decode_skimmed(Bytes::from(raw)).unwrap_err(),
+            CodecError::Oversize
+        );
+        // The dyadic total over 64 levels of u32::MAX × u32::MAX
+        // overflows the checked multiply.
+        let schema = SkimmedSchema::dyadic(Domain::with_log2(63), 1, 2, 1);
+        let huge = [0xFF; 8];
+        assert_eq!(
+            decode_skimmed(crafted(schema, 8, &huge)).unwrap_err(),
+            CodecError::Oversize
         );
     }
 }

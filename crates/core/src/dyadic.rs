@@ -38,10 +38,11 @@ impl DyadicSchema {
             |level: u32| seed ^ (0xD1AD1C00u64 + u64::from(level)).wrapping_mul(0x9E3779B97F4A7C15);
         let levels = (0..domain.levels())
             .map(|level| {
-                let intervals = domain.intervals_at(level);
-                // ss-analyze: allow(a5-numeric-narrowing) -- usize -> u64 is lossless on every supported platform
-                let b = (buckets as u64).min(intervals.saturating_mul(2).max(2)) as usize;
-                HashSketchSchema::new(tables, b, root_seed(level))
+                HashSketchSchema::new(
+                    tables,
+                    level_buckets(domain, buckets, level),
+                    root_seed(level),
+                )
             })
             .collect();
         Arc::new(Self {
@@ -81,6 +82,15 @@ impl DyadicSchema {
     pub fn words(&self) -> usize {
         self.levels.iter().map(|s| s.words()).sum()
     }
+}
+
+/// Buckets per table at dyadic `level`: `min(buckets, 2·intervals(ℓ))`
+/// (see [`DyadicSchema::new`]). The skimmed-sketch codec uses
+/// it to bound a header's counter total before building any schema.
+pub(crate) fn level_buckets(domain: Domain, buckets: usize, level: u32) -> usize {
+    let intervals = domain.intervals_at(level);
+    // ss-analyze: allow(a5-numeric-narrowing) -- usize -> u64 is lossless on every supported platform
+    (buckets as u64).min(intervals.saturating_mul(2).max(2)) as usize
 }
 
 /// A dyadic multi-level hash sketch of one stream.

@@ -52,7 +52,7 @@ pub mod threshold;
 pub mod windowed;
 
 pub use audit::audit_ratio_error;
-pub use codec::{decode_skimmed, encode_skimmed, SkimCodecError};
+pub use codec::{decode_skimmed, encode_skimmed};
 pub use confidence::{estimate_join_with_confidence, ConfidenceEstimate};
 pub use dyadic::{DyadicHashSketch, DyadicSchema};
 pub use estimator::{

@@ -220,12 +220,6 @@ impl AgmsSketch {
     pub fn words(&self) -> usize {
         self.schema.words()
     }
-
-    /// Replaces the counter image (wire-codec reconstruction).
-    pub(crate) fn overwrite_counters(&mut self, counters: &[i64]) {
-        assert_eq!(counters.len(), self.counters.len());
-        self.counters.copy_from_slice(counters);
-    }
 }
 
 impl StreamSink for AgmsSketch {

@@ -3,243 +3,152 @@
 //! Linear sketches are the natural unit of exchange in distributed
 //! monitoring (each site sketches its local substream; a coordinator merges
 //! by addition — exactly the deployment the paper's NOC scenario implies).
-//! This module gives every sketch a compact, versioned binary encoding:
+//! This module gives the hash sketch a compact, versioned binary encoding:
 //! shape parameters + root seed + varint-compressed counters. The receiver
 //! reconstructs the hash families from the seed, so no function tables
 //! travel on the wire.
 //!
-//! Format (little-endian):
+//! Format (little-endian; the counter block is `stream_model::codec`'s):
 //!
 //! ```text
-//! magic "SSK1" | kind u8 | dim1 u32 | dim2 u32 | seed u64 | count u32
-//! then `count` zigzag-varint counters
+//! magic "SSK1" | kind u8 (= 2) | tables u32 | buckets u32 | seed u64
+//! counter block: count u32, then `count` zigzag-varint counters
 //! ```
+//!
+//! The kind byte once also tagged AGMS (1) and Count-Min (3) images;
+//! those tags now decode to [`CodecError::BadKind`].
+//!
+//! [`CodecError`] is also the error type of the skimmed-sketch codec
+//! (SSKM, in `skimmed-sketch`), which builds on the same counter block.
 
-use crate::agms::{AgmsSchema, AgmsSketch};
-use crate::countmin::{CountMinSchema, CountMinSketch};
 use crate::hash_sketch::{HashSketch, HashSketchSchema};
-use crate::linear::LinearSynopsis;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use stream_model::update::Update;
+use bytes::Bytes;
+use stream_model::codec::{put_counters, saturating_u32, DecodeError, Reader};
 
 const MAGIC: &[u8; 4] = b"SSK1";
+/// The hash-sketch kind tag.
+const KIND_HASH: u8 = 2;
 
-/// Sketch kind tags on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-enum Kind {
-    Agms = 1,
-    Hash = 2,
-    CountMin = 3,
-}
-
-/// Decoding errors.
+/// Sketch decoding errors (SSK1 and SSKM).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
     /// Header magic mismatch.
     BadMagic,
-    /// Unknown sketch kind tag.
+    /// Unsupported format version.
+    BadVersion(u16),
+    /// Unknown or retired sketch kind tag.
     BadKind(u8),
-    /// Kind tag did not match the requested sketch type.
-    WrongKind,
+    /// Unknown extraction-strategy tag.
+    BadStrategy(u8),
+    /// A header field is outside its legal range: the named field is a
+    /// zero `tables`/`buckets` count or a `domain_log2` above 63.
+    OutOfRange(&'static str),
+    /// The header declares more counters than the buffer has bytes left
+    /// (every counter takes at least one), or so many that the count
+    /// overflows; rejected before anything is allocated.
+    Oversize,
     /// Buffer ended early or a varint was malformed.
     Truncated,
-    /// Declared counter count does not match the shape.
+    /// A counter count does not match the shape the header declares.
     ShapeMismatch,
+    /// Bytes followed the last counter block.
+    TrailingBytes,
 }
 
 impl std::fmt::Display for CodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CodecError::BadMagic => write!(f, "bad sketch magic"),
+            CodecError::BadVersion(v) => write!(f, "unsupported sketch version {v}"),
             CodecError::BadKind(k) => write!(f, "unknown sketch kind {k}"),
-            CodecError::WrongKind => write!(f, "sketch kind mismatch"),
+            CodecError::BadStrategy(s) => write!(f, "unknown strategy tag {s}"),
+            CodecError::OutOfRange(field) => write!(f, "sketch header field {field} out of range"),
+            CodecError::Oversize => write!(f, "sketch header declares more counters than it holds"),
             CodecError::Truncated => write!(f, "sketch buffer truncated"),
             CodecError::ShapeMismatch => write!(f, "counter count does not match shape"),
+            CodecError::TrailingBytes => write!(f, "trailing bytes after the sketch"),
         }
     }
 }
 
 impl std::error::Error for CodecError {}
 
-fn put_varint(buf: &mut BytesMut, mut x: u64) {
-    loop {
-        // ss-analyze: allow(a5-numeric-narrowing) -- masked to 7 bits, fits u8 by construction
-        let byte = (x & 0x7F) as u8;
-        x >>= 7;
-        if x == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
-    }
-}
-
-fn get_varint(buf: &mut Bytes) -> Result<u64, CodecError> {
-    let mut x = 0u64;
-    for shift in (0..64).step_by(7) {
-        if !buf.has_remaining() {
-            return Err(CodecError::Truncated);
-        }
-        let byte = buf.get_u8();
-        x |= u64::from(byte & 0x7F) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(x);
+impl From<DecodeError> for CodecError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated | DecodeError::MalformedVarint => CodecError::Truncated,
+            DecodeError::TrailingBytes => CodecError::TrailingBytes,
         }
     }
-    Err(CodecError::Truncated)
 }
 
-#[inline]
-fn zigzag(w: i64) -> u64 {
-    // ss-analyze: allow(a5-numeric-narrowing) -- deliberate two's-complement reinterpretation; zigzag is a bijection on the full 64-bit range
-    ((w << 1) ^ (w >> 63)) as u64
-}
-
-#[inline]
-fn unzigzag(z: u64) -> i64 {
-    // ss-analyze: allow(a5-numeric-narrowing) -- inverse of the zigzag bijection; both casts reinterpret bits on purpose
-    ((z >> 1) as i64) ^ -((z & 1) as i64)
-}
-
-fn encode_raw(kind: Kind, dim1: u32, dim2: u32, seed: u64, counters: &[i64]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(32 + counters.len() * 2);
-    buf.put_slice(MAGIC);
-    // ss-analyze: allow(a5-numeric-narrowing) -- `Kind` is a fieldless enum with discriminants 1..=3
-    buf.put_u8(kind as u8);
-    buf.put_u32_le(dim1);
-    buf.put_u32_le(dim2);
-    buf.put_u64_le(seed);
-    // ss-analyze: allow(a5-numeric-narrowing) -- counter count is dim1*dim2, both u32 header fields
-    buf.put_u32_le(counters.len() as u32);
-    for &c in counters {
-        put_varint(&mut buf, zigzag(c));
+/// Reads a `tables u32 | buckets u32` shape, rejecting zero counts.
+pub fn read_shape(r: &mut Reader<'_>) -> Result<(usize, usize), CodecError> {
+    let tables = r.u32()? as usize;
+    let buckets = r.u32()? as usize;
+    if tables == 0 {
+        return Err(CodecError::OutOfRange("tables"));
     }
-    buf.freeze()
-}
-
-struct RawSketch {
-    kind: u8,
-    dim1: u32,
-    dim2: u32,
-    seed: u64,
-    counters: Vec<i64>,
-}
-
-fn decode_raw(mut buf: Bytes) -> Result<RawSketch, CodecError> {
-    if buf.remaining() < 25 {
-        return Err(CodecError::Truncated);
+    if buckets == 0 {
+        return Err(CodecError::OutOfRange("buckets"));
     }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    Ok((tables, buckets))
+}
+
+/// Appends a `tables u32 | buckets u32` shape.
+pub fn put_shape(out: &mut Vec<u8>, schema: &HashSketchSchema) {
+    out.extend_from_slice(&saturating_u32(schema.tables()).to_le_bytes());
+    out.extend_from_slice(&saturating_u32(schema.buckets()).to_le_bytes());
+}
+
+/// Encodes a hash sketch (shape + seed + counters) into a buffer.
+pub fn encode_hash(sk: &HashSketch) -> Bytes {
+    let schema = sk.schema();
+    let mut out = Vec::with_capacity(25 + sk.counters().len() * 2);
+    out.extend_from_slice(MAGIC);
+    out.push(KIND_HASH);
+    put_shape(&mut out, schema);
+    out.extend_from_slice(&schema.seed().to_le_bytes());
+    put_counters(&mut out, sk.counters());
+    Bytes::from(out)
+}
+
+/// Decodes a hash sketch produced by [`encode_hash`]. Header fields are
+/// range-checked before the schema is built, so no input panics or
+/// allocates more than its own length in counters.
+pub fn decode_hash(buf: Bytes) -> Result<HashSketch, CodecError> {
+    let mut r = Reader::new(&buf);
+    if r.take(MAGIC.len())? != MAGIC {
         return Err(CodecError::BadMagic);
     }
-    let kind = buf.get_u8();
-    let dim1 = buf.get_u32_le();
-    let dim2 = buf.get_u32_le();
-    let seed = buf.get_u64_le();
-    let count = buf.get_u32_le() as usize;
-    if count != dim1 as usize * dim2 as usize {
+    let kind = r.u8()?;
+    if kind != KIND_HASH {
+        return Err(CodecError::BadKind(kind));
+    }
+    let (tables, buckets) = read_shape(&mut r)?;
+    let seed = r.u64()?;
+    let words = tables
+        .checked_mul(buckets)
+        .filter(|&w| w <= r.remaining())
+        .ok_or(CodecError::Oversize)?;
+    let counters = r.counters()?;
+    if counters.len() != words {
         return Err(CodecError::ShapeMismatch);
     }
-    let mut counters = Vec::with_capacity(count);
-    for _ in 0..count {
-        counters.push(unzigzag(get_varint(&mut buf)?));
-    }
-    Ok(RawSketch {
-        kind,
-        dim1,
-        dim2,
-        seed,
-        counters,
-    })
-}
-
-/// Replays counters into a freshly constructed sketch via its linear
-/// structure: build empty, then merge a counter image. All three sketch
-/// types store counters row-major, so this is a direct overwrite expressed
-/// through the public update API (one synthetic merge).
-macro_rules! impl_codec {
-    ($encode:ident, $decode:ident, $sketch:ty, $kind:expr,
-     $d1:ident, $d2:ident, $ctor:path) => {
-        /// Encodes the sketch (shape + seed + counters) into a buffer.
-        pub fn $encode(sk: &$sketch) -> Bytes {
-            let schema = sk.schema();
-            encode_raw(
-                $kind,
-                // ss-analyze: allow(a5-numeric-narrowing) -- header fields are u32 by format; a schema this large is not constructible in memory
-                schema.$d1() as u32,
-                // ss-analyze: allow(a5-numeric-narrowing) -- same u32 format bound
-                schema.$d2() as u32,
-                schema.seed(),
-                sk.counters(),
-            )
-        }
-
-        /// Decodes a sketch previously produced by the matching encoder.
-        pub fn $decode(buf: Bytes) -> Result<$sketch, CodecError> {
-            let raw = decode_raw(buf)?;
-            // ss-analyze: allow(a5-numeric-narrowing) -- `Kind` is a fieldless enum with discriminants 1..=3
-            if raw.kind != $kind as u8 {
-                return Err(if raw.kind >= 1 && raw.kind <= 3 {
-                    CodecError::WrongKind
-                } else {
-                    CodecError::BadKind(raw.kind)
-                });
-            }
-            let schema = $ctor(raw.dim1 as usize, raw.dim2 as usize, raw.seed);
-            let mut sk = <$sketch>::new(schema);
-            debug_assert_eq!(sk.counters().len(), raw.counters.len());
-            sk.overwrite_counters(&raw.counters);
-            Ok(sk)
-        }
-    };
-}
-
-impl_codec!(
-    encode_agms,
-    decode_agms,
-    AgmsSketch,
-    Kind::Agms,
-    rows,
-    cols,
-    AgmsSchema::new
-);
-
-impl_codec!(
-    encode_hash,
-    decode_hash,
-    HashSketch,
-    Kind::Hash,
-    tables,
-    buckets,
-    HashSketchSchema::new
-);
-
-impl_codec!(
-    encode_countmin,
-    decode_countmin,
-    CountMinSketch,
-    Kind::CountMin,
-    depth,
-    width,
-    CountMinSchema::new
-);
-
-/// A helper so `StreamSink`/`LinearSynopsis` users can rebuild from a
-/// decoded sketch without reaching into internals (used by tests).
-pub fn replay_into<S: LinearSynopsis>(sink: &mut S, updates: &[Update]) {
-    for &u in updates {
-        sink.update(u);
-    }
+    r.finish()?;
+    let mut sk = HashSketch::new(HashSketchSchema::new(tables, buckets, seed));
+    sk.overwrite_counters(&counters);
+    Ok(sk)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linear::{synopsis_of, LinearSynopsis};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
+    use stream_model::update::Update;
 
     fn random_updates(n: usize, seed: u64) -> Vec<Update> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -251,38 +160,17 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn agms_round_trip_preserves_estimates() {
-        let schema = AgmsSchema::new(5, 32, 77);
-        let mut a = AgmsSketch::new(schema.clone());
-        let mut b = AgmsSketch::new(schema);
-        replay_into(&mut a, &random_updates(2000, 1));
-        replay_into(&mut b, &random_updates(2000, 2));
-        let before = a.estimate_join(&b);
-        let a2 = decode_agms(encode_agms(&a)).unwrap();
-        let b2 = decode_agms(encode_agms(&b)).unwrap();
-        assert_eq!(a2.counters(), a.counters());
-        assert!(a2.compatible(&a));
-        assert_eq!(a2.estimate_join(&b2), before);
+    fn sketch_of(schema: &Arc<HashSketchSchema>, updates: &[Update]) -> HashSketch {
+        synopsis_of(HashSketch::new(schema.clone()), updates.iter().copied())
     }
 
     #[test]
     fn hash_round_trip_bit_exact() {
         let schema = HashSketchSchema::new(7, 64, 99);
-        let mut sk = HashSketch::new(schema);
-        replay_into(&mut sk, &random_updates(3000, 3));
+        let sk = sketch_of(&schema, &random_updates(3000, 3));
         let back = decode_hash(encode_hash(&sk)).unwrap();
         assert_eq!(back.counters(), sk.counters());
         assert_eq!(back.point_estimate(17), sk.point_estimate(17));
-    }
-
-    #[test]
-    fn countmin_round_trip() {
-        let schema = CountMinSchema::new(4, 128, 5);
-        let mut sk = CountMinSketch::new(schema);
-        replay_into(&mut sk, &random_updates(1000, 4));
-        let back = decode_countmin(encode_countmin(&sk)).unwrap();
-        assert_eq!(back.point_estimate(100), sk.point_estimate(100));
     }
 
     #[test]
@@ -290,17 +178,13 @@ mod tests {
         // The distributed pattern: remote site ships its sketch, the
         // coordinator merges into its own.
         let schema = HashSketchSchema::new(3, 32, 11);
-        let mut local = HashSketch::new(schema.clone());
-        let mut remote = HashSketch::new(schema.clone());
         let ul = random_updates(500, 5);
         let ur = random_updates(500, 6);
-        replay_into(&mut local, &ul);
-        replay_into(&mut remote, &ur);
+        let mut local = sketch_of(&schema, &ul);
+        let remote = sketch_of(&schema, &ur);
         let shipped = decode_hash(encode_hash(&remote)).unwrap();
         local.merge_from(&shipped);
-        let mut all = HashSketch::new(schema);
-        replay_into(&mut all, &ul);
-        replay_into(&mut all, &ur);
+        let all = sketch_of(&schema, &[ul, ur].concat());
         assert_eq!(local.counters(), all.counters());
     }
 
@@ -326,13 +210,50 @@ mod tests {
 
         let truncated = Bytes::from(good[..good.len() - 1].to_vec());
         assert_eq!(decode_hash(truncated).unwrap_err(), CodecError::Truncated);
+
+        let mut trailing = good.to_vec();
+        trailing.push(0);
+        assert_eq!(
+            decode_hash(Bytes::from(trailing)).unwrap_err(),
+            CodecError::TrailingBytes
+        );
     }
 
     #[test]
-    fn kind_confusion_is_rejected() {
-        let agms = AgmsSketch::new(AgmsSchema::new(2, 4, 1));
-        let err = decode_hash(encode_agms(&agms)).unwrap_err();
-        assert_eq!(err, CodecError::WrongKind);
+    fn retired_agms_and_countmin_kinds_are_bad_kinds() {
+        let good = encode_hash(&HashSketch::new(HashSketchSchema::new(2, 4, 1)));
+        for kind in [1u8, 3] {
+            let mut raw = good.to_vec();
+            raw[4] = kind;
+            assert_eq!(
+                decode_hash(Bytes::from(raw)).unwrap_err(),
+                CodecError::BadKind(kind)
+            );
+        }
+    }
+
+    #[test]
+    fn decode_hash_rejects_zero_tables() {
+        // A self-consistent header: 0 tables × 4 buckets = 0 counters.
+        let mut raw = encode_hash(&HashSketch::new(HashSketchSchema::new(2, 4, 1))).to_vec();
+        raw[5..9].copy_from_slice(&0u32.to_le_bytes());
+        raw[21..25].copy_from_slice(&0u32.to_le_bytes());
+        raw.truncate(25);
+        assert_eq!(
+            decode_hash(Bytes::from(raw)).unwrap_err(),
+            CodecError::OutOfRange("tables")
+        );
+    }
+
+    #[test]
+    fn decode_hash_rejects_counts_beyond_the_body() {
+        let mut raw = encode_hash(&HashSketch::new(HashSketchSchema::new(2, 4, 1))).to_vec();
+        raw[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
+        raw[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            decode_hash(Bytes::from(raw)).unwrap_err(),
+            CodecError::Oversize
+        );
     }
 
     #[test]

@@ -213,12 +213,6 @@ impl CountMinSketch {
     pub fn counters(&self) -> &[i64] {
         &self.counters
     }
-
-    /// Replaces the counter image (wire-codec reconstruction).
-    pub(crate) fn overwrite_counters(&mut self, counters: &[i64]) {
-        assert_eq!(counters.len(), self.counters.len());
-        self.counters.copy_from_slice(counters);
-    }
 }
 
 impl StreamSink for CountMinSketch {

@@ -23,6 +23,12 @@ impl Domain {
         Self { log2_size }
     }
 
+    /// [`Domain::with_log2`] for untrusted input (decoder header fields):
+    /// `None` above 63 instead of a panic.
+    pub fn try_with_log2(log2_size: u32) -> Option<Self> {
+        (log2_size <= 63).then_some(Self { log2_size })
+    }
+
     /// Creates the smallest power-of-two domain containing `[0, min_size)`.
     pub fn covering(min_size: u64) -> Self {
         assert!(min_size > 0, "domain must be non-empty");

@@ -9,18 +9,22 @@
 //!
 //! On-disk format = the [`crate::trace`] wire format with a `u64::MAX`
 //! record count sentinel in the header (count unknown while appending),
-//! terminated by EOF.
+//! terminated by EOF. Header and records go through the same
+//! [`crate::trace`] codec functions as the in-memory form.
 
+use crate::codec::{Reader, MAX_VARINT_LEN};
 use crate::domain::Domain;
-use crate::trace::TraceError;
+use crate::trace::{self, TraceError};
 use crate::update::Update;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::Path;
 
-const MAGIC: &[u8; 4] = b"SSTR";
-const VERSION: u16 = 1;
 const STREAMING_COUNT: u64 = u64::MAX;
+/// Longest record: two maximal varints.
+const MAX_RECORD_LEN: usize = 2 * MAX_VARINT_LEN;
+/// How much [`TraceReader`] reads from its file at a time.
+const READ_CHUNK: usize = 64 * 1024;
 
 /// Errors from file-trace operations.
 #[derive(Debug)]
@@ -54,79 +58,37 @@ impl std::fmt::Display for TraceIoError {
 
 impl std::error::Error for TraceIoError {}
 
-fn write_varint<W: Write>(w: &mut W, mut x: u64) -> io::Result<()> {
-    loop {
-        let byte = (x & 0x7F) as u8;
-        x >>= 7;
-        if x == 0 {
-            return w.write_all(&[byte]);
-        }
-        w.write_all(&[byte | 0x80])?;
-    }
-}
-
-/// Reads a varint; `Ok(None)` on clean EOF at a record boundary.
-fn read_varint<R: Read>(r: &mut R, at_boundary: bool) -> Result<Option<u64>, TraceIoError> {
-    let mut x = 0u64;
-    for (i, shift) in (0..64).step_by(7).enumerate() {
-        let mut byte = [0u8; 1];
-        match r.read(&mut byte)? {
-            0 => {
-                return if i == 0 && at_boundary {
-                    Ok(None)
-                } else {
-                    Err(TraceError::Truncated.into())
-                }
-            }
-            _ => {
-                x |= ((byte[0] & 0x7F) as u64) << shift;
-                if byte[0] & 0x80 == 0 {
-                    return Ok(Some(x));
-                }
-            }
-        }
-    }
-    Err(TraceError::MalformedVarint.into())
-}
-
-#[inline]
-fn zigzag(w: i64) -> u64 {
-    ((w << 1) ^ (w >> 63)) as u64
-}
-
-#[inline]
-fn unzigzag(z: u64) -> i64 {
-    ((z >> 1) as i64) ^ -((z & 1) as i64)
-}
-
 /// Incrementally writes a trace file.
 #[derive(Debug)]
 pub struct TraceWriter {
     out: BufWriter<File>,
     domain: Domain,
     written: u64,
+    /// One encoded record, reused across writes.
+    record: Vec<u8>,
 }
 
 impl TraceWriter {
     /// Creates (truncates) `path` and writes the streaming header.
     pub fn create<P: AsRef<Path>>(path: P, domain: Domain) -> Result<Self, TraceIoError> {
         let mut out = BufWriter::new(File::create(path)?);
-        out.write_all(MAGIC)?;
-        out.write_all(&VERSION.to_le_bytes())?;
-        out.write_all(&(domain.log2_size() as u16).to_le_bytes())?;
-        out.write_all(&STREAMING_COUNT.to_le_bytes())?;
+        let mut header = Vec::with_capacity(trace::HEADER_LEN);
+        trace::put_header(&mut header, domain, STREAMING_COUNT);
+        out.write_all(&header)?;
         Ok(Self {
             out,
             domain,
             written: 0,
+            record: Vec::with_capacity(MAX_RECORD_LEN),
         })
     }
 
     /// Appends one update.
     pub fn write(&mut self, u: Update) -> Result<(), TraceIoError> {
         debug_assert!(self.domain.contains(u.value));
-        write_varint(&mut self.out, u.value)?;
-        write_varint(&mut self.out, zigzag(u.weight))?;
+        self.record.clear();
+        trace::put_record(&mut self.record, u);
+        self.out.write_all(&self.record)?;
         self.written += 1;
         Ok(())
     }
@@ -154,7 +116,7 @@ impl TraceWriter {
 /// Streams updates back out of a trace file.
 #[derive(Debug)]
 pub struct TraceReader {
-    input: BufReader<File>,
+    input: ChunkedInput,
     domain: Domain,
     /// Records remaining when the header carried an exact count;
     /// `None` in streaming (EOF-terminated) mode.
@@ -164,27 +126,16 @@ pub struct TraceReader {
 impl TraceReader {
     /// Opens `path` and parses the header.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, TraceIoError> {
-        let mut input = BufReader::new(File::open(path)?);
-        let mut header = [0u8; 16];
-        input.read_exact(&mut header).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                TraceIoError::Format(TraceError::Truncated)
-            } else {
-                TraceIoError::Io(e)
-            }
-        })?;
-        if &header[0..4] != MAGIC {
-            return Err(TraceError::BadMagic.into());
-        }
-        let version = u16::from_le_bytes([header[4], header[5]]);
-        if version != VERSION {
-            return Err(TraceError::BadVersion(version).into());
-        }
-        let log2 = u16::from_le_bytes([header[6], header[7]]);
-        let count = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
+        let mut input = ChunkedInput {
+            file: File::open(path)?,
+            buf: Vec::new(),
+            pos: 0,
+            eof: false,
+        };
+        let (domain, count) = input.decode(trace::HEADER_LEN, trace::read_header)?;
         Ok(Self {
             input,
-            domain: Domain::with_log2(log2 as u32),
+            domain,
             remaining: (count != STREAMING_COUNT).then_some(count),
         })
     }
@@ -199,21 +150,73 @@ impl TraceReader {
         if self.remaining == Some(0) {
             return Ok(None);
         }
-        let Some(value) = read_varint(&mut self.input, true)? else {
-            return if self.remaining.is_none() {
-                Ok(None)
-            } else {
-                Err(TraceError::Truncated.into())
+        if self.input.at_end()? {
+            // Clean EOF at a record boundary ends a streaming trace; a
+            // counted one is short.
+            return match self.remaining {
+                None => Ok(None),
+                Some(_) => Err(TraceError::Truncated.into()),
             };
-        };
-        if !self.domain.contains(value) {
-            return Err(TraceError::ValueOutOfDomain(value).into());
         }
-        let weight = unzigzag(read_varint(&mut self.input, false)?.ok_or(TraceError::Truncated)?);
+        let domain = self.domain;
+        let u = self
+            .input
+            .decode(MAX_RECORD_LEN, |r| trace::read_record(r, domain))?;
         if let Some(r) = &mut self.remaining {
             *r -= 1;
         }
-        Ok(Some(Update { value, weight }))
+        Ok(Some(u))
+    }
+}
+
+/// A file read in chunks and decoded in place with a [`Reader`].
+#[derive(Debug)]
+struct ChunkedInput {
+    file: File,
+    /// Bytes read from `file`; `buf[pos..]` is not yet decoded.
+    buf: Vec<u8>,
+    pos: usize,
+    /// `file` has reported end of file.
+    eof: bool,
+}
+
+impl ChunkedInput {
+    /// Whether every byte of the file has been decoded.
+    fn at_end(&mut self) -> io::Result<bool> {
+        self.fill(1)?;
+        Ok(self.pos == self.buf.len())
+    }
+
+    /// Runs `read` over the buffered bytes (at least `want` of them
+    /// unless the file ends first) and consumes what it read.
+    fn decode<T>(
+        &mut self,
+        want: usize,
+        read: impl FnOnce(&mut Reader<'_>) -> Result<T, TraceError>,
+    ) -> Result<T, TraceIoError> {
+        self.fill(want)?;
+        let unread = &self.buf[self.pos..];
+        let mut r = Reader::new(unread);
+        let value = read(&mut r)?;
+        self.pos += unread.len() - r.remaining();
+        Ok(value)
+    }
+
+    /// Reads from the file until at least `want` bytes are buffered or
+    /// it ends.
+    fn fill(&mut self, want: usize) -> io::Result<()> {
+        if self.buf.len() - self.pos >= want || self.eof {
+            return Ok(());
+        }
+        self.buf.drain(..self.pos);
+        self.pos = 0;
+        while self.buf.len() < want && !self.eof {
+            let chunk = READ_CHUNK as u64;
+            let got = (&mut self.file).take(chunk).read_to_end(&mut self.buf)?;
+            // `read_to_end` stops short of the limit only at EOF.
+            self.eof = (got as u64) < chunk;
+        }
+        Ok(())
     }
 }
 
@@ -329,6 +332,39 @@ mod tests {
         drop(f);
         let err = TraceReader::open(&path).unwrap_err();
         assert!(matches!(err, TraceIoError::Format(TraceError::BadMagic)));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn open_rejects_a_domain_above_63() {
+        let path = tmp("log2-64");
+        write_trace_file(&path, Domain::with_log2(4), &[Update::insert(1)]).unwrap();
+        let mut f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        f.seek(io::SeekFrom::Start(6)).unwrap();
+        f.write_all(&64u16.to_le_bytes()).unwrap();
+        drop(f);
+        let err = TraceReader::open(&path).unwrap_err();
+        assert!(
+            matches!(err, TraceIoError::Format(TraceError::BadDomain(64))),
+            "{err}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn records_straddling_read_chunks_decode() {
+        // Enough multi-byte records that several straddle a chunk edge.
+        let path = tmp("chunks");
+        let d = Domain::with_log2(63);
+        let updates: Vec<Update> = (0..3 * READ_CHUNK as u64 / 10)
+            .map(|i| Update {
+                value: i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 1,
+                weight: i64::MIN + i as i64,
+            })
+            .collect();
+        write_trace_file(&path, d, &updates).unwrap();
+        let (_, back) = read_trace_file(&path).unwrap();
+        assert_eq!(back, updates);
         std::fs::remove_file(&path).ok();
     }
 

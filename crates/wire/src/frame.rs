@@ -2,13 +2,16 @@
 //!
 //! Every frame is a 20-byte CRC-checked header followed by a payload
 //! whose layout depends on the frame kind (see the crate docs for the
-//! full grammar). Integers are little-endian; counts and values use the
-//! same varint/zigzag conventions as the trace codec in
-//! `stream-model::trace` and the sketch codec in `stream-sketches`.
+//! full grammar). Fixed-width integers are little-endian; counts and
+//! values are varints, weights zigzag varints, all through
+//! `stream_model::codec` — the one codec the trace and sketch formats
+//! use too. Its [`Reader`] fails with a typed error instead of
+//! panicking, so every payload decoder here is panic-free.
 
 use crate::crc::crc32;
 use crate::{WireError, HEADER_LEN, MAGIC, VERSION};
 use std::io::{self, Read, Write};
+use stream_model::codec::{put_varint, unzigzag, zigzag, Reader};
 use stream_model::update::Update;
 
 /// Which of the server's two update streams a frame refers to.
@@ -74,8 +77,6 @@ pub struct TraceContext {
 }
 
 impl TraceContext {
-    const WIRE_LEN: usize = 16;
-
     fn put(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.trace_id.to_le_bytes());
         out.extend_from_slice(&self.span_id.to_le_bytes());
@@ -606,101 +607,10 @@ impl Kind {
 // payload primitives
 // ---------------------------------------------------------------------
 
-fn put_varint(out: &mut Vec<u8>, mut x: u64) {
-    loop {
-        let byte = (x & 0x7F) as u8;
-        x >>= 7;
-        if x == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-#[inline]
-fn zigzag(w: i64) -> u64 {
-    ((w << 1) ^ (w >> 63)) as u64
-}
-
-#[inline]
-fn unzigzag(z: u64) -> i64 {
-    ((z >> 1) as i64) ^ -((z & 1) as i64)
-}
-
-/// Sequential reader over a payload slice; every accessor fails with
-/// [`WireError::Truncated`] instead of panicking.
-struct Reader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.buf.len() < n {
-            return Err(WireError::Truncated);
-        }
-        let (head, rest) = self.buf.split_at(n);
-        self.buf = rest;
-        Ok(head)
-    }
-
-    /// `take` as a fixed array; the length mismatch arm is statically
-    /// dead (`take(N)` returns exactly `N` bytes) but stays a typed
-    /// error rather than a panic.
-    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        self.take(N)?.try_into().map_err(|_| WireError::Truncated)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        let [b] = self.take_array::<1>()?;
-        Ok(b)
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take_array()?))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take_array()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take_array()?))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn varint(&mut self) -> Result<u64, WireError> {
-        let mut x = 0u64;
-        for shift in (0..64).step_by(7) {
-            let byte = self.u8()?;
-            x |= ((byte & 0x7F) as u64) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(x);
-            }
-        }
-        Err(WireError::BadPayload("malformed varint"))
-    }
-
-    fn string(&mut self) -> Result<String, WireError> {
-        let len = self.varint()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadPayload("invalid utf-8"))
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.buf.is_empty() {
-            Ok(())
-        } else {
-            Err(WireError::TrailingBytes)
-        }
-    }
+fn read_string(r: &mut Reader<'_>) -> Result<String, WireError> {
+    let len = r.varint()? as usize;
+    let bytes = r.take(len)?;
+    String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadPayload("invalid utf-8"))
 }
 
 fn put_string(out: &mut Vec<u8>, s: &str) {
@@ -776,9 +686,9 @@ fn inspect_report_payload(out: &mut Vec<u8>, report: &InspectReport) {
 /// at least one byte), mirroring the UPDATE_BATCH guard.
 fn decode_inspect_report(r: &mut Reader<'_>) -> Result<InspectReport, WireError> {
     let uptime_ns = r.varint()?;
-    let metrics_json = r.string()?;
+    let metrics_json = read_string(r)?;
     let n_events = r.varint()? as usize;
-    if n_events > r.buf.len() {
+    if n_events > r.remaining() {
         return Err(WireError::Truncated);
     }
     let mut events = Vec::with_capacity(n_events);
@@ -796,7 +706,7 @@ fn decode_inspect_report(r: &mut Reader<'_>) -> Result<InspectReport, WireError>
         });
     }
     let n_slow = r.varint()? as usize;
-    if n_slow > r.buf.len() {
+    if n_slow > r.remaining() {
         return Err(WireError::Truncated);
     }
     let mut slow = Vec::with_capacity(n_slow);
@@ -1122,12 +1032,11 @@ impl Frame {
         }
     }
 
-    fn decode_payload(kind: Kind, payload: &[u8]) -> Result<Frame, WireError> {
-        let mut r = Reader::new(payload);
+    fn decode_payload(kind: Kind, mut r: Reader<'_>) -> Result<Frame, WireError> {
         let frame = match kind {
             Kind::Hello => Frame::Hello {
                 protocol: r.u16()?,
-                client: r.string()?,
+                client: read_string(&mut r)?,
             },
             Kind::HelloAck => Frame::HelloAck(ServerInfo {
                 domain_log2: r.u16()?,
@@ -1149,7 +1058,7 @@ impl Frame {
                 let count = r.varint()? as usize;
                 // Every update needs ≥ 2 payload bytes; a declared count
                 // beyond that is truncation, caught before allocating.
-                if count > r.buf.len() {
+                if count > r.remaining() {
                     return Err(WireError::Truncated);
                 }
                 let mut updates = Vec::with_capacity(count);
@@ -1196,7 +1105,7 @@ impl Frame {
             },
             Kind::Error => Frame::Error {
                 code: ErrorCode::from_u16(r.u16()?),
-                message: r.string()?,
+                message: read_string(&mut r)?,
             },
             Kind::Goodbye => Frame::Goodbye,
             Kind::Resume => Frame::Resume {
@@ -1221,18 +1130,18 @@ impl Frame {
                 // Every shard entry needs ≥ 2 payload bytes; a declared
                 // count beyond that is truncation, caught before
                 // allocating.
-                if count > r.buf.len() {
+                if count > r.remaining() {
                     return Err(WireError::Truncated);
                 }
                 let mut shards = Vec::with_capacity(count);
                 for _ in 0..count {
-                    let addr = r.string()?;
+                    let addr = read_string(&mut r)?;
                     let healthy = match r.u8()? {
                         0 => false,
                         1 => true,
                         _ => return Err(WireError::BadPayload("bad shard health tag")),
                     };
-                    let follower = r.string()?;
+                    let follower = read_string(&mut r)?;
                     let lag_bytes = r.varint()?;
                     shards.push(ShardEntry {
                         addr,
@@ -1480,16 +1389,11 @@ impl Frame {
         if crc32(payload) != stored_payload_crc {
             return Err(WireError::PayloadCrc);
         }
-        let (ctx, body) = if flags & FLAG_TRACE != 0 {
-            if need < TraceContext::WIRE_LEN {
-                return Err(WireError::Truncated);
-            }
-            let (prefix, rest) = payload.split_at(TraceContext::WIRE_LEN);
-            let mut pr = Reader::new(prefix);
-            let ctx = TraceContext::read(&mut pr)?;
-            (Some(ctx), rest)
+        let mut body = Reader::new(payload);
+        let ctx = if flags & FLAG_TRACE != 0 {
+            Some(TraceContext::read(&mut body)?)
         } else {
-            (None, &*payload)
+            None
         };
         let frame = Frame::decode_payload(kind, body)?;
         Ok((frame, HEADER_LEN + need, ctx))

@@ -1,11 +1,11 @@
 //! # stream-wire
 //!
 //! The versioned, length-prefixed binary protocol of the skimmed-sketch
-//! serving layer. Zero dependencies beyond `std` and the `stream-model`
-//! update type: the build (and deployment) environment is offline, so the
-//! whole protocol — framing, checksums, payload codecs — is hand-rolled
-//! here, reusing the varint/zigzag conventions of the trace codec
-//! (`stream-model::io`) and the sketch codec (`stream-sketches::codec`).
+//! serving layer. Zero dependencies beyond `std` and `stream-model`: the
+//! build (and deployment) environment is offline, so the framing and
+//! checksums are hand-rolled here, and the payload codecs are built on
+//! `stream_model::codec` — the one varint/zigzag codec and panic-free
+//! reader that the trace (SSTR) and sketch (SSK1, SSKM) formats share.
 //!
 //! ## Frame grammar
 //!
@@ -132,6 +132,7 @@ pub use frame::{
 };
 
 use std::io;
+use stream_model::codec::DecodeError;
 
 /// Header magic: "Skimmed-Sketch Wire Frame".
 pub const MAGIC: &[u8; 4] = b"SSWF";
@@ -223,6 +224,16 @@ impl std::error::Error for WireError {}
 impl From<io::Error> for WireError {
     fn from(e: io::Error) -> Self {
         WireError::Io(e)
+    }
+}
+
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated => WireError::Truncated,
+            DecodeError::MalformedVarint => WireError::BadPayload("malformed varint"),
+            DecodeError::TrailingBytes => WireError::TrailingBytes,
+        }
     }
 }
 

@@ -8,6 +8,7 @@ use skimmed_sketch::skim::skim_dense_scan;
 use skimmed_sketches::prelude::*;
 use stream_model::metrics::{ratio_error, ERROR_SANITY_BOUND};
 use stream_model::trace;
+use stream_sketches::linear::synopsis_of;
 use stream_sketches::{AgmsSchema, AgmsSketch, HashSketch, HashSketchSchema, LinearSynopsis};
 
 const DOMAIN_LOG2: u32 = 8;
@@ -20,6 +21,58 @@ fn arb_updates(max_len: usize) -> impl Strategy<Value = Vec<Update>> {
         }),
         0..max_len,
     )
+}
+
+/// Header fields `(offset, width)` past the 4-byte magic: SSK1 (kind,
+/// tables, buckets, seed, count), SSKM (version, strategy, domain_log2,
+/// tables, buckets, seed, l1_mass, levels) and SSTR (version,
+/// domain_log2, count).
+const SSK1_FIELDS: &[(usize, usize)] = &[(4, 1), (5, 4), (9, 4), (13, 8), (21, 4)];
+const SSKM_FIELDS: &[(usize, usize)] = &[
+    (4, 2),
+    (6, 1),
+    (7, 1),
+    (8, 4),
+    (12, 4),
+    (16, 8),
+    (24, 8),
+    (32, 2),
+];
+const SSTR_FIELDS: &[(usize, usize)] = &[(4, 2), (6, 2), (8, 8)];
+
+/// Up to four header-field overwrites `(field index, value)`, with
+/// values biased to the edges where decoders break.
+fn arb_field_edits() -> impl Strategy<Value = Vec<(usize, u64)>> {
+    let value = prop_oneof![Just(0u64), Just(1u64), Just(u64::MAX), any::<u64>()];
+    prop::collection::vec((0usize..64, value), 0..5)
+}
+
+/// Up to three body-byte overwrites `(position, byte)`.
+fn arb_byte_edits() -> impl Strategy<Value = Vec<(usize, u8)>> {
+    prop::collection::vec((0usize..4096, any::<u8>()), 0..4)
+}
+
+/// `valid` with each `header` value written little-endian over one of
+/// `fields`, and each `body` byte written somewhere after the header.
+fn overwrite(
+    valid: &[u8],
+    fields: &[(usize, usize)],
+    header: &[(usize, u64)],
+    body: &[(usize, u8)],
+) -> Vec<u8> {
+    let mut raw = valid.to_vec();
+    for &(field, value) in header {
+        let (at, width) = fields[field % fields.len()];
+        raw[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+    }
+    let header_len = fields.iter().map(|&(at, width)| at + width).max().unwrap();
+    if raw.len() > header_len {
+        let span = raw.len() - header_len;
+        for &(at, byte) in body {
+            raw[header_len + at % span] = byte;
+        }
+    }
+    raw
 }
 
 proptest! {
@@ -164,7 +217,6 @@ proptest! {
     #[test]
     fn sketch_decode_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         let _ = stream_sketches::codec::decode_hash(bytes::Bytes::from(bytes.clone()));
-        let _ = stream_sketches::codec::decode_agms(bytes::Bytes::from(bytes.clone()));
         let _ = skimmed_sketch::decode_skimmed(bytes::Bytes::from(bytes));
     }
 
@@ -210,5 +262,57 @@ proptest! {
         }
         prop_assert_eq!(w.window_sketch().base().counters(), expect.base().counters());
         prop_assert_eq!(w.window_sketch().l1_mass(), expect.l1_mass());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Random bytes rarely get past a 4-byte magic, so these start from a
+    /// valid SSK1 encoding and overwrite header fields and body bytes.
+    #[test]
+    fn hash_decode_never_panics_past_the_magic(
+        a in arb_updates(100),
+        header in arb_field_edits(),
+        body in arb_byte_edits(),
+    ) {
+        let sk = synopsis_of(HashSketch::new(HashSketchSchema::new(3, 16, 5)), a);
+        let raw = overwrite(&stream_sketches::codec::encode_hash(&sk), SSK1_FIELDS, &header, &body);
+        let _ = stream_sketches::codec::decode_hash(bytes::Bytes::from(raw));
+    }
+
+    /// Same for SSKM, scanning and dyadic.
+    #[test]
+    fn skimmed_decode_never_panics_past_the_magic(
+        a in arb_updates(100),
+        dyadic in any::<bool>(),
+        header in arb_field_edits(),
+        body in arb_byte_edits(),
+    ) {
+        let d = Domain::with_log2(DOMAIN_LOG2);
+        let schema = if dyadic {
+            skimmed_sketch::SkimmedSchema::dyadic(d, 3, 16, 5)
+        } else {
+            skimmed_sketch::SkimmedSchema::scanning(d, 3, 16, 5)
+        };
+        let sk = synopsis_of(skimmed_sketch::SkimmedSketch::new(schema), a);
+        let raw = overwrite(&skimmed_sketch::encode_skimmed(&sk), SSKM_FIELDS, &header, &body);
+        let _ = skimmed_sketch::decode_skimmed(bytes::Bytes::from(raw));
+    }
+
+    /// Same for SSTR, as a buffer and as a streaming file.
+    #[test]
+    fn trace_decode_never_panics_past_the_magic(
+        a in arb_updates(100),
+        header in arb_field_edits(),
+        body in arb_byte_edits(),
+    ) {
+        let d = Domain::with_log2(DOMAIN_LOG2);
+        let raw = overwrite(&trace::encode(d, &a), SSTR_FIELDS, &header, &body);
+        let _ = trace::decode(bytes::Bytes::from(raw.clone()));
+        let path = std::env::temp_dir().join(format!("ss-props-{}.trace", std::process::id()));
+        std::fs::write(&path, &raw).unwrap();
+        let _ = stream_model::io::read_trace_file(&path);
+        std::fs::remove_file(&path).ok();
     }
 }
