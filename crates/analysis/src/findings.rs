@@ -120,7 +120,7 @@ pub const LINTS: &[LintInfo] = &[
     },
     LintInfo {
         id: "a4-blocking-hot-path",
-        summary: "no std::sync::Mutex / thread::sleep in hot-path modules",
+        summary: "no std::sync::Mutex / Condvar / thread::sleep in hot-path modules",
         hint: "use the lock-free atomics idiom of telemetry/ingest, move the blocking call \
                off the hot path, or justify with a suppression",
     },
@@ -166,7 +166,7 @@ pub const LINTS: &[LintInfo] = &[
     },
     LintInfo {
         id: "a10-reachable-blocking",
-        summary: "no Mutex/thread::sleep in fns reachable from the serving entry points, \
+        summary: "no Mutex/Condvar/thread::sleep in fns reachable from the serving entry points, \
                   even outside a4's module allowlist",
         hint: "use the lock-free atomics idiom, move the call off the reachable path, \
                or justify with a suppression",

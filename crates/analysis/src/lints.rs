@@ -51,8 +51,9 @@ pub const A4_SCOPE: &[&str] = &[
     // ends; its accept-path hand-off mutex carries an explicit allow.
     "crates/server/src/serve.rs",
     // The replication module's poll loop and ack gate sit between the
-    // persist lock and every sequenced ack; its deliberate waits (gate
-    // tick, poll pacing, reconnect backoff) carry explicit allows.
+    // persist lock and every sequenced ack; its deliberate waits (the
+    // gate's condvar, the lock behind it, reconnect backoff) carry
+    // explicit allows.
     "crates/server/src/replication.rs",
     "crates/durability/src/wal.rs",
     // The WAL tailer serves every replication poll on a handler
@@ -334,7 +335,9 @@ pub fn a3_telemetry_edges(manifests: &[Manifest]) -> Vec<Finding> {
     out
 }
 
-/// A4: no `Mutex` or `thread::sleep` in hot-path modules (non-test).
+/// A4: no `Mutex`, `Condvar` or `thread::sleep` in hot-path modules
+/// (non-test). A condvar wait blocks like a sleep does; only its wake
+/// source differs.
 pub fn a4_blocking_hot_path(file: &SourceFile) -> Vec<Finding> {
     if !in_scope(&file.path, A4_SCOPE) {
         return Vec::new();
@@ -346,6 +349,7 @@ pub fn a4_blocking_hot_path(file: &SourceFile) -> Vec<Finding> {
         }
         let what = match t.text.as_str() {
             "Mutex" => "`Mutex` (blocking lock) in a hot-path module",
+            "Condvar" => "`Condvar` (blocking wait) in a hot-path module",
             "sleep" => "`thread::sleep` in a hot-path module",
             _ => continue,
         };

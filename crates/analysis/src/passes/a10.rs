@@ -13,7 +13,8 @@
 //!   flagged here (unlike a2): the sketch kernels index on the hot path
 //!   under schema-checked bounds, and a2's per-module opt-in is the
 //!   right granularity for that judgement.
-//! * `a10-reachable-blocking` — `Mutex` / `thread::sleep`, as in a4.
+//! * `a10-reachable-blocking` — `Mutex` / `Condvar` / `thread::sleep`,
+//!   as in a4.
 //!
 //! Resolution is over-approximate (same-name fallback across crates),
 //! which is the sound direction: an extra edge can only pull more code
@@ -39,7 +40,6 @@ pub const ENTRY_POINTS: &[(&str, &str)] = &[
     ("crates/server/src/lib.rs", "handle_update_batch"),
     ("crates/server/src/replication.rs", "run"),
     ("crates/server/src/replication.rs", "serve_poll"),
-    ("crates/server/src/replication.rs", "apply_push"),
     ("crates/server/src/replication.rs", "apply_chunk"),
     ("crates/server/src/replication.rs", "promote"),
     ("crates/cluster/src/router.rs", "serve_frame"),
@@ -123,6 +123,7 @@ impl Pass for ReachableBlocking {
                 }
                 let what = match file.toks[j].text.as_str() {
                     "Mutex" => "`Mutex` (blocking lock)",
+                    "Condvar" => "`Condvar` (blocking wait)",
                     "sleep" => "`thread::sleep`",
                     _ => continue,
                 };

@@ -214,6 +214,24 @@ fn a4_scope_covers_replication_modules() {
     assert!(c.findings.is_empty(), "{:?}", c.findings);
 }
 
+#[test]
+fn a4_condvar_is_a_blocking_wait() {
+    // A condvar wait parks the thread just as a sleep does, so swapping
+    // a flagged sleep for a wait must not make the finding disappear.
+    let a = run(&[(
+        "crates/server/src/replication.rs",
+        "fn f() { let _c = Condvar::new(); }\n",
+    )]);
+    assert_eq!(lints(&a), ["a4-blocking-hot-path"]);
+    assert!(a.findings[0].message.contains("Condvar"));
+    let b = run(&[(
+        "crates/server/src/replication.rs",
+        "// ss-analyze: allow(a4-blocking-hot-path) -- fixture: wait bounded by a deadline\n\
+         fn f() { let _c = Condvar::new(); }\n",
+    )]);
+    assert!(b.findings.is_empty(), "{:?}", b.findings);
+}
+
 // ---------------------------------------------------------------- A5
 
 #[test]
@@ -590,6 +608,36 @@ fn a10_suppressions_are_honored() {
             "pub fn pause_helper(d: Duration) {\n\
              \u{20}   // ss-analyze: allow(a10-reachable-blocking) -- fixture: cold supervision tick\n\
              \u{20}   std::thread::sleep(d);\n\
+             }\n",
+        ),
+    ]);
+    assert!(b.findings.is_empty(), "{:?}", b.findings);
+}
+
+#[test]
+fn a10_condvar_reachable_from_entry_point_is_caught() {
+    let a = run(&[
+        (
+            "crates/server/src/lib.rs",
+            "fn serve_frame(g: G) { park_helper(g); }\n",
+        ),
+        (
+            "crates/query/src/lib.rs",
+            "pub fn park_helper(g: G) { let _c = Condvar::new(); }\n",
+        ),
+    ]);
+    assert_eq!(lints(&a), ["a10-reachable-blocking"]);
+    assert!(a.findings[0].message.contains("Condvar"));
+    let b = run(&[
+        (
+            "crates/server/src/lib.rs",
+            "fn serve_frame(g: G) { park_helper(g); }\n",
+        ),
+        (
+            "crates/query/src/lib.rs",
+            "pub fn park_helper(g: G) {\n\
+             \u{20}   // ss-analyze: allow(a10-reachable-blocking) -- fixture: wait bounded by a deadline\n\
+             \u{20}   let _c = Condvar::new();\n\
              }\n",
         ),
     ]);

@@ -16,6 +16,7 @@
 
 use skimmed_sketch::{estimate_join, EstimatorConfig, SkimmedSchema, SkimmedSketch};
 use ss_cluster::{Router, RouterConfig};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -23,9 +24,9 @@ use std::time::{Duration, Instant};
 use stream_durability::WalConfig;
 use stream_model::{Domain, Update};
 use stream_server::{
-    BackoffConfig, ClientConfig, ClientError, ResilientClient, Server, ServerClient, ServerConfig,
+    BackoffConfig, ClientConfig, ResilientClient, Server, ServerClient, ServerConfig,
 };
-use stream_wire::{ErrorCode, StreamId};
+use stream_wire::{ErrorCode, Frame, StreamId, WireError, DEFAULT_MAX_PAYLOAD, PROTOCOL_VERSION};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -318,14 +319,52 @@ fn fenced_ex_primary_cannot_replicate_into_the_promoted_follower() {
         "supervisor never promoted the follower"
     );
 
-    // The deposed primary resurrects believing in epoch 1 and pushes a
-    // late REPLICATE at its old follower: the fencing epoch rejects it.
-    let mut zombie = ServerClient::connect(follower.local_addr()).unwrap();
-    match zombie.replicate_push(1, 0, 0, vec![0xAB; 64]) {
-        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::Fenced),
-        other => panic!("stale-epoch REPLICATE must be fenced, got {other:?}"),
+    // The deposed primary resurrects believing in epoch 1 and writes a
+    // late REPLICATE at its old follower, chained onto its frontier.
+    // Replication is pull-only, so the promoted node refuses the
+    // unsolicited frame outright and neither its log nor its sketches
+    // move.
+    let frontier = || {
+        let mut probe = ServerClient::connect(follower.local_addr()).unwrap();
+        let status = probe.heartbeat(0).unwrap();
+        (status.segment, status.offset)
+    };
+    let mass = || follower.snapshot(StreamId::F).unwrap().l1_mass();
+    let (at, mass_before) = (frontier(), mass());
+    let mut zombie = TcpStream::connect(follower.local_addr()).unwrap();
+    zombie
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .unwrap();
+    Frame::Hello {
+        protocol: PROTOCOL_VERSION,
+        client: "zombie".into(),
+    }
+    .write_to(&mut zombie)
+    .unwrap();
+    assert!(matches!(read_reply(&mut zombie), Frame::HelloAck(_)));
+    let record = stream_wire::encode_update_batch(StreamId::F, 0, 0, &uf[..64]);
+    Frame::Replicate {
+        epoch: 1,
+        segment: at.0,
+        offset: at.1,
+        snapshot: false,
+        frontier_segment: at.0,
+        frontier_offset: at.1 + record.len() as u64,
+        bytes: record,
+    }
+    .write_to(&mut zombie)
+    .unwrap();
+    match read_reply(&mut zombie) {
+        Frame::Error { code, .. } => assert_eq!(code, ErrorCode::Protocol),
+        other => panic!("an unsolicited REPLICATE must be refused, got {other:?}"),
     }
     drop(zombie);
+    assert_eq!(frontier(), at, "the refused chunk reached the WAL");
+    assert_eq!(
+        mass(),
+        mass_before,
+        "the refused chunk reached the sketches"
+    );
 
     // The promoted node still serves the stream it replicated.
     assert!(producer.query_join().is_ok());
@@ -335,4 +374,16 @@ fn fenced_ex_primary_cannot_replicate_into_the_promoted_follower() {
     follower.shutdown().unwrap();
     std::fs::remove_dir_all(&pdir).ok();
     std::fs::remove_dir_all(&fdir).ok();
+}
+
+/// Reads one reply frame off a raw session, absorbing idle ticks.
+fn read_reply(sock: &mut TcpStream) -> Frame {
+    for _ in 0..100 {
+        match Frame::read_from(sock, DEFAULT_MAX_PAYLOAD) {
+            Ok((frame, _)) => return frame,
+            Err(WireError::Idle) => continue,
+            Err(e) => panic!("reply read failed: {e}"),
+        }
+    }
+    panic!("no reply within patience window");
 }

@@ -868,38 +868,6 @@ impl ServerClient {
         }
     }
 
-    /// Pushes one frame-aligned chunk of record bytes at `(segment,
-    /// offset)` to a follower (protocol ≥ 3) and returns its acked
-    /// frontier. A stale `epoch` is refused with
-    /// [`ErrorCode::Fenced`] — the split-brain check the chaos suite
-    /// exercises with a deposed primary.
-    pub fn replicate_push(
-        &mut self,
-        epoch: u64,
-        segment: u64,
-        offset: u64,
-        bytes: Vec<u8>,
-    ) -> Result<(u64, u64), ClientError> {
-        self.require_v3()?;
-        let frontier_offset = offset + bytes.len() as u64;
-        let request = Frame::Replicate {
-            epoch,
-            segment,
-            offset,
-            snapshot: false,
-            frontier_segment: segment,
-            frontier_offset,
-            bytes,
-        };
-        match self.call(&request)? {
-            Frame::ReplicateAck {
-                segment, offset, ..
-            } => Ok((segment, offset)),
-            // ss-analyze: allow(a6-frame-exhaustive) -- client-side strict request/reply: every non-matching kind is uniformly *rejected* as UnexpectedFrame, not absorbed
-            _ => Err(ClientError::UnexpectedFrame("replicate push reply")),
-        }
-    }
-
     /// Probes a node's replication state (protocol ≥ 3): role, fencing
     /// epoch, and durable frontier. The cluster router's failure
     /// detector is built on this round trip.

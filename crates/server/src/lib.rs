@@ -49,10 +49,11 @@
 //! bytes are identical, a caught-up follower answers queries
 //! **bit-identically** to its primary. A PROMOTE frame (carrying a
 //! fencing epoch greater than the follower's) seals the log and flips
-//! the role to primary; late REPLICATE traffic from a deposed primary
-//! is rejected by the epoch check (`FENCED`), so a network that heals
-//! after a failover cannot split-brain the sketch state. See
-//! DESIGN.md §12 for the full contract.
+//! the role to primary. Replication is pull-only and every REPLICATE
+//! reply carries the primary's epoch; a follower drops replies stamped
+//! below its own, so a deposed primary whose network heals after a
+//! failover cannot split-brain the sketch state. See DESIGN.md §12 for
+//! the full contract.
 //!
 //! ## Fault containment
 //!
@@ -121,7 +122,7 @@ use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use stream_durability::{DedupEntry, SnapshotBlob, Wal, WalConfig, WalTailer};
 use stream_ingest::{IngestError, IngestPool, TraceTag};
@@ -187,8 +188,10 @@ pub struct ServerConfig {
     /// the primary's WAL byte stream and refuses client writes with
     /// `NOT_PRIMARY` until a PROMOTE flips it to primary.
     pub follower_of: Option<String>,
-    /// Idle tick between replication long-polls once a follower is
-    /// caught up (non-empty chunks re-poll immediately).
+    /// Longest a primary holds a caught-up follower's replication poll
+    /// open waiting for its next append (an append answers the poll at
+    /// once). Keep it below [`ServerConfig::read_timeout`], which the
+    /// follower's poll session reads under.
     pub replication_poll: Duration,
 }
 
@@ -310,6 +313,16 @@ struct Persist {
     dedup: HashMap<u64, [u64; 2]>,
 }
 
+impl Persist {
+    /// The durable frontier `(active_segment_id, active_segment_len)`;
+    /// `(0, 0)` without a WAL.
+    fn frontier(&self) -> (u64, u64) {
+        self.wal
+            .as_ref()
+            .map_or((0, 0), |w| (w.active_segment_id(), w.active_segment_len()))
+    }
+}
+
 /// Shared state between connection handlers.
 struct Inner {
     config: ServerConfig,
@@ -317,6 +330,11 @@ struct Inner {
     pools: [Arc<IngestPool<SkimmedSketch>>; 2],
     // ss-analyze: allow(a4-blocking-hot-path) -- the persist lock IS the durability design: dedup + WAL append must serialize to make snapshots exact cuts; the lock-free fast path (`has_wal == false`, unsequenced) never touches it
     persist: Mutex<Persist>,
+    /// Paired with `persist`: signalled after every client WAL append
+    /// and at shutdown, waking replication polls held open on a
+    /// caught-up follower ([`replication::serve_poll`]).
+    // ss-analyze: allow(a4-blocking-hot-path) -- held polls wait at most `replication_poll`; appends only signal it
+    appended: Condvar,
     /// Cached `persist.wal.is_some()`: lets unsequenced traffic on a
     /// WAL-less server skip the persist lock entirely.
     has_wal: bool,
@@ -331,7 +349,8 @@ struct Inner {
     /// Current role ([`ROLE_PRIMARY`] / [`ROLE_FOLLOWER`]); flipped by
     /// PROMOTE, read on every UPDATE_BATCH.
     role: AtomicU8,
-    /// Fencing epoch: bumped by PROMOTE, checked on every REPLICATE.
+    /// Fencing epoch: bumped by PROMOTE; a follower checks it against
+    /// every REPLICATE reply.
     epoch: AtomicU64,
     /// Serves replication polls over the WAL directory (primaries with
     /// a WAL only).
@@ -365,11 +384,21 @@ impl Inner {
     /// The durable frontier `(active_segment_id, active_segment_len)`;
     /// `(0, 0)` without a WAL.
     fn wal_frontier(&self) -> (u64, u64) {
-        let persist = self.persist.lock().unwrap_or_else(|p| p.into_inner());
-        persist
-            .wal
-            .as_ref()
-            .map_or((0, 0), |w| (w.active_segment_id(), w.active_segment_len()))
+        self.persist
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .frontier()
+    }
+
+    /// Starts a drain: sets the flag, then wakes held replication polls
+    /// and gated acks so they see it now rather than at their timeout.
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::Release);
+        // Taking the lock orders the wake after any waiter's predicate
+        // check, so it cannot fall between check and wait.
+        drop(self.persist.lock().unwrap_or_else(|p| p.into_inner()));
+        self.appended.notify_all();
+        self.follower_ack.wake();
     }
 }
 
@@ -488,6 +517,8 @@ impl Server {
             pools: [mk_pool(seed_f), mk_pool(seed_g)],
             // ss-analyze: allow(a4-blocking-hot-path) -- see the `persist` field: serialization is the durability contract
             persist: Mutex::new(Persist { wal, dedup }),
+            // ss-analyze: allow(a4-blocking-hot-path) -- see the `appended` field: waits are bounded by `replication_poll`
+            appended: Condvar::new(),
             has_wal: config.wal.is_some(),
             shutdown: AtomicBool::new(false),
             metrics,
@@ -521,7 +552,7 @@ impl Server {
         {
             Ok(serving) => serving,
             Err(e) => {
-                inner.shutdown.store(true, Ordering::Release);
+                inner.begin_shutdown();
                 replication::stop(&inner);
                 return Err(e);
             }
@@ -611,7 +642,7 @@ impl Server {
     /// [`ServerError`]s instead of propagating.
     pub fn shutdown(self) -> Result<(SkimmedSketch, SkimmedSketch), ServerError> {
         let metrics = self.inner.metrics;
-        self.inner.shutdown.store(true, Ordering::Release);
+        self.inner.begin_shutdown();
         // The replication thread holds an `Arc<Inner>` clone; join it
         // first or `try_unwrap` below reports the state as held.
         replication::stop(&self.inner);
@@ -679,7 +710,7 @@ impl Server {
     /// the OS. This is what `kill -9` leaves behind; a server re-bound
     /// over the same WAL directory must rebuild from the log alone.
     pub fn halt(self) {
-        self.inner.shutdown.store(true, Ordering::Release);
+        self.inner.begin_shutdown();
         // A real SIGKILL takes the replication thread with the process;
         // stop it so the dropped pools are not kept alive by its Arc.
         replication::stop(&self.inner);
@@ -836,6 +867,9 @@ fn handle_update_batch(
             conn.send_error(ErrorCode::Internal, &format!("wal append failed: {e}"));
             return Flow::Continue;
         }
+        // Wake the follower's held replication poll: there is a record
+        // to ship now.
+        inner.appended.notify_all();
         if let Some(m) = metrics {
             m.wal_appends.inc();
             m.wal_bytes.add(bytes.len() as u64);
@@ -1117,33 +1151,6 @@ impl FrontEnd for Inner {
                     }
                 }
             }
-            Frame::Replicate {
-                epoch,
-                segment,
-                offset,
-                snapshot,
-                frontier_segment: _,
-                frontier_offset: _,
-                bytes,
-            } => {
-                // Push-applied replication: the epoch check is the
-                // split-brain fence — a deposed primary's late chunk
-                // carries a stale epoch and is refused.
-                if !conn.require_v3("REPLICATE") {
-                    return Flow::Close;
-                }
-                match replication::apply_push(inner, epoch, segment, offset, snapshot, &bytes) {
-                    Ok((ack_segment, ack_offset)) => conn.reply(&Frame::ReplicateAck {
-                        epoch: inner.epoch(),
-                        segment: ack_segment,
-                        offset: ack_offset,
-                    }),
-                    Err((code, message)) => {
-                        conn.send_error(code, &message);
-                        Flow::Close
-                    }
-                }
-            }
             Frame::Heartbeat { .. } => {
                 // Request fields carry the prober's view and are not
                 // needed to answer; the reply is this node's role,
@@ -1182,7 +1189,9 @@ impl FrontEnd for Inner {
             | Frame::ResumeAck { .. }
             | Frame::InspectReply(_)
             | Frame::ShardMap(_)
-            | Frame::ShardQueryReply { .. } => Flow::Unexpected,
+            | Frame::ShardQueryReply { .. }
+            // Replication is pull-only: REPLICATE is a poll reply.
+            | Frame::Replicate { .. } => Flow::Unexpected,
         }
     }
 }

@@ -20,20 +20,27 @@
 //! horizon) replication parks with `bootstrap_required` set and a
 //! restart re-bootstraps.
 //!
-//! Fencing: every REPLICATE carries the sender's epoch. A receiver
-//! refuses epochs below its own with the typed `FENCED` error, and a
-//! poll loop drops replies carrying a stale epoch — so after a
-//! failover (PROMOTE bumps the epoch) a network-healed ex-primary can
-//! neither feed nor poison the new primary.
+//! Neither side waits on a timer between chunks: a primary holds a
+//! caught-up follower's poll open until it appends (or
+//! `replication_poll` elapses, or it shuts down), and the
+//! sequenced-write ack gate waits on a condvar every follower ack
+//! signals.
+//!
+//! Fencing: replication is pull-only — REPLICATE travels primary →
+//! follower as a poll reply and nowhere else, and every reply carries
+//! the primary's epoch. A poll loop drops replies whose epoch is below
+//! its own, so after a failover (PROMOTE bumps the epoch) a
+//! network-healed ex-primary cannot feed the promoted node or any
+//! follower that has learned the new epoch.
 
 use crate::client::{ClientConfig, ServerClient};
 use crate::{bump_dedup, Inner, Role, ServerConfig, ROLE_PRIMARY};
 use ss_retry::{Backoff, BackoffConfig};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use stream_durability::{TailChunk, Wal};
 use stream_wire::{ErrorCode, Frame};
 
@@ -83,9 +90,6 @@ const ATTACH_WINDOW: Duration = Duration::from_secs(2);
 /// converges to an ack once replication catches up.
 const ACK_GATE_WAIT: Duration = Duration::from_millis(250);
 
-/// Poll cadence of the inline gate wait.
-const ACK_GATE_TICK: Duration = Duration::from_millis(1);
-
 /// Primary-side view of its follower: the highest WAL position the
 /// follower has acknowledged — every poll request carries the
 /// follower's own durable frontier, an implicit ack of everything
@@ -100,6 +104,10 @@ pub(crate) struct FollowerAck {
     /// and leak an ack through the gate), hence the lock.
     // ss-analyze: allow(a4-blocking-hot-path) -- held for one tuple copy; touched once per replication poll and per gated ack check, both of which already paid a syscall
     frontier: Mutex<(u64, u64)>,
+    /// Signalled whenever `frontier` advances (and at shutdown); gated
+    /// acks wait on it.
+    // ss-analyze: allow(a4-blocking-hot-path) -- the ack gate's wait, bounded by ACK_GATE_WAIT and the attach window
+    covered: Condvar,
 }
 
 impl FollowerAck {
@@ -108,22 +116,37 @@ impl FollowerAck {
             polled_at_ms: AtomicU64::new(0),
             // ss-analyze: allow(a4-blocking-hot-path) -- see the field note: tuple atomicity, two copies per hold
             frontier: Mutex::new((0, 0)),
+            // ss-analyze: allow(a4-blocking-hot-path) -- see the field note: waits are bounded by ACK_GATE_WAIT and the attach window
+            covered: Condvar::new(),
         }
     }
 
     /// Records one follower poll: its acked frontier (kept monotone —
-    /// a reordered late poll must not regress it) and the poll time.
-    fn record(&self, now_ms: u64, segment: u64, offset: u64) {
+    /// a reordered late poll must not regress it) and the poll time,
+    /// waking every gated ack the frontier now covers. Returns whether
+    /// an earlier poll already acked this same frontier — the only
+    /// polls a primary may hold open (a bind-time bootstrap probe, or a
+    /// poll carrying a fresh ack, is answered at once).
+    fn record(&self, now_ms: u64, segment: u64, offset: u64) -> bool {
         let mut acked = self.frontier.lock().unwrap_or_else(|p| p.into_inner());
-        if (segment, offset) > *acked {
+        let repeat = self.polled_at_ms.load(Ordering::Acquire) != 0 && *acked == (segment, offset);
+        let advanced = (segment, offset) > *acked;
+        if advanced {
             *acked = (segment, offset);
         }
-        drop(acked);
         self.polled_at_ms.store(now_ms.max(1), Ordering::Release);
+        drop(acked);
+        if advanced {
+            self.covered.notify_all();
+        }
+        repeat
     }
 
-    fn acked(&self) -> (u64, u64) {
-        *self.frontier.lock().unwrap_or_else(|p| p.into_inner())
+    /// Wakes every gated ack so it sees a shutdown that just started
+    /// (locking first, for the reason `Inner::begin_shutdown` gives).
+    pub(crate) fn wake(&self) {
+        drop(self.frontier.lock().unwrap_or_else(|p| p.into_inner()));
+        self.covered.notify_all();
     }
 }
 
@@ -141,26 +164,36 @@ impl FollowerAck {
 /// configured, none has polled yet, or the last poll is older than
 /// [`ATTACH_WINDOW`] — waives the gate: replication is asynchronous
 /// then, and the window is the follower-loss durability trade.
+///
+/// The wait ends at the earliest of a covering ack (one ack releases
+/// every gated batch it covers), shutdown, [`ACK_GATE_WAIT`], and the
+/// moment a silent follower's attach window runs out.
 pub(crate) fn gate_ack(inner: &Inner, target: (u64, u64)) -> bool {
-    let deadline = std::time::Instant::now() + ACK_GATE_WAIT;
-    loop {
-        let polled = inner.follower_ack.polled_at_ms.load(Ordering::Acquire);
-        if polled == 0 {
-            return true;
-        }
-        let now_ms = inner.started.elapsed().as_millis() as u64;
-        if now_ms.saturating_sub(polled) > ATTACH_WINDOW.as_millis() as u64 {
-            return true;
-        }
-        if inner.follower_ack.acked() >= target {
-            return true;
-        }
-        if inner.shutdown.load(Ordering::Acquire) || std::time::Instant::now() >= deadline {
-            return false;
-        }
-        // ss-analyze: allow(a4-blocking-hot-path) -- deliberate inline wait for the follower's covering ack; bounded by ACK_GATE_WAIT, after which the producer is throttled instead
-        std::thread::sleep(ACK_GATE_TICK);
+    let ack = &inner.follower_ack;
+    let polled = ack.polled_at_ms.load(Ordering::Acquire);
+    if polled == 0 {
+        return true;
     }
+    // One millisecond past the window, so the detach check below sees
+    // it expired (it compares whole milliseconds, strictly).
+    let detach_at = inner.started + Duration::from_millis(polled + 1) + ATTACH_WINDOW;
+    let wait = detach_at
+        .saturating_duration_since(Instant::now())
+        .min(ACK_GATE_WAIT);
+    let acked = ack.frontier.lock().unwrap_or_else(|p| p.into_inner());
+    let (acked, _) = ack
+        .covered
+        .wait_timeout_while(acked, wait, |acked| {
+            *acked < target && !inner.shutdown.load(Ordering::Acquire)
+        })
+        .unwrap_or_else(|p| p.into_inner());
+    if *acked >= target {
+        return true;
+    }
+    drop(acked);
+    let polled = ack.polled_at_ms.load(Ordering::Acquire);
+    let now_ms = inner.started.elapsed().as_millis() as u64;
+    now_ms.saturating_sub(polled) > ATTACH_WINDOW.as_millis() as u64
 }
 
 /// Starts the follower's poll thread (no-op unless `follower_of` was
@@ -231,12 +264,14 @@ fn pause(repl: &ReplState, d: Duration) {
     if repl.stop.load(Ordering::Acquire) {
         return;
     }
-    // ss-analyze: allow(a4-blocking-hot-path) -- replication poll/backoff tick on the dedicated follower thread, off the request path
+    // ss-analyze: allow(a4-blocking-hot-path) -- reconnect backoff on the dedicated follower thread, off the request path
     std::thread::sleep(d);
 }
 
 /// The follower's poll loop: connect, long-poll from the local durable
-/// frontier, apply, repeat; reconnect with capped-jitter backoff.
+/// frontier, apply, repeat; reconnect with capped-jitter backoff. The
+/// primary holds a caught-up poll until it has something to ship, so
+/// the loop re-polls at once and pauses only to back off.
 fn run(inner: &Inner) {
     let Some(repl) = inner.repl.as_ref() else {
         return;
@@ -286,8 +321,7 @@ fn run(inner: &Inner) {
             }
             update_lag(inner, repl, chunk.frontier_segment, chunk.frontier_offset);
             if chunk.bytes.is_empty() {
-                // Caught up: idle until the next poll tick.
-                pause(repl, inner.config.replication_poll);
+                // Caught up, and the primary's hold window ran out.
                 continue;
             }
             if apply_chunk(inner, chunk.segment, chunk.offset, &chunk.bytes).is_err() {
@@ -381,29 +415,9 @@ fn apply_chunk(inner: &Inner, segment: u64, offset: u64, bytes: &[u8]) -> io::Re
         let accepted = updates.len() as u64;
         // Replicated records were already admitted by the primary, so
         // a full queue is waited out, not refused: THROTTLE has no
-        // meaning on a stream that was acknowledged once already.
-        let mut chunk_updates = updates;
-        loop {
-            match inner.pool(stream).try_dispatch(chunk_updates) {
-                Ok(()) => break,
-                Err(back) => {
-                    chunk_updates = back;
-                    if inner.shutdown.load(Ordering::Acquire)
-                        || inner
-                            .repl
-                            .as_ref()
-                            .is_some_and(|r| r.stop.load(Ordering::Acquire))
-                    {
-                        return Err(io::Error::new(
-                            io::ErrorKind::Interrupted,
-                            "stopped while applying a replicated chunk",
-                        ));
-                    }
-                    // ss-analyze: allow(a4-blocking-hot-path) -- follower backpressure: replicated records must not be dropped, and no client waits on this thread
-                    std::thread::sleep(Duration::from_micros(500));
-                }
-            }
-        }
+        // meaning on a stream that was acknowledged once already. The
+        // workers outlive this thread (shutdown and halt stop it first).
+        inner.pool(stream).dispatch(updates);
         {
             let wal = persist
                 .wal
@@ -451,14 +465,21 @@ pub(crate) fn serve_poll(
     // The poll's position is the follower's durable frontier — an
     // implicit ack of everything before it. Recording it is what arms
     // (and advances) the sequenced-write ack gate.
-    inner
-        .follower_ack
-        .record(inner.started.elapsed().as_millis() as u64, segment, offset);
-    let (frontier_segment, frontier_offset) = inner.wal_frontier();
+    let now_ms = inner.started.elapsed().as_millis() as u64;
+    let may_hold = inner.follower_ack.record(now_ms, segment, offset);
+    let read = || {
+        tailer
+            .read_from(segment, offset)
+            .map_err(|e| (ErrorCode::Internal, format!("replication tail failed: {e}")))
+    };
+    let mut frontier = inner.wal_frontier();
+    let mut chunk = read()?;
+    if may_hold && chunk == TailChunk::CaughtUp {
+        frontier = hold_until_append(inner, frontier);
+        chunk = read()?;
+    }
+    let (frontier_segment, frontier_offset) = frontier;
     let epoch = inner.epoch();
-    let chunk = tailer
-        .read_from(segment, offset)
-        .map_err(|e| (ErrorCode::Internal, format!("replication tail failed: {e}")))?;
     Ok(match chunk {
         TailChunk::Records {
             segment,
@@ -494,54 +515,23 @@ pub(crate) fn serve_poll(
     })
 }
 
-/// Applies a pushed REPLICATE chunk (the poll loop's shared apply path
-/// behind the wire-facing epoch fence). Returns the acked frontier.
-pub(crate) fn apply_push(
-    inner: &Inner,
-    epoch: u64,
-    segment: u64,
-    offset: u64,
-    snapshot: bool,
-    bytes: &[u8],
-) -> Result<(u64, u64), (ErrorCode, String)> {
-    let current = inner.epoch();
-    if epoch < current {
-        if let Some(m) = inner.metrics {
-            m.replication_fenced.inc();
-        }
-        return Err((
-            ErrorCode::Fenced,
-            format!("replicate epoch {epoch} is fenced: current epoch is {current}"),
-        ));
-    }
-    if inner.role() != Role::Follower {
-        return Err((
-            ErrorCode::Protocol,
-            "a primary does not accept REPLICATE".to_string(),
-        ));
-    }
-    if snapshot {
-        return Err((
-            ErrorCode::Protocol,
-            "snapshot bootstrap is pull-only (poll with REPLICATE_ACK)".to_string(),
-        ));
-    }
-    if epoch > current {
-        inner.epoch.store(epoch, Ordering::Release);
-    }
-    if bytes.is_empty() {
-        return Ok(inner.wal_frontier());
-    }
-    let frontier = apply_chunk(inner, segment, offset, bytes).map_err(|e| {
-        (
-            ErrorCode::Internal,
-            format!("replication apply failed: {e}"),
-        )
-    })?;
-    if let Some(m) = inner.metrics {
-        m.replication_chunks.inc();
-    }
-    Ok(frontier)
+/// Holds a caught-up poll until the durable frontier moves off `seen`
+/// (the value read before the tail came back empty, so an append in
+/// between ends the hold at once), shutdown starts, or
+/// `replication_poll` elapses. Returns the frontier at wake-up.
+///
+/// `seen` rather than the poll's own position: after a rotation (a
+/// seal or a checkpoint) the frontier sits past a caught-up follower's
+/// position with nothing new to ship, and the hold must still wait.
+fn hold_until_append(inner: &Inner, seen: (u64, u64)) -> (u64, u64) {
+    let persist = inner.persist.lock().unwrap_or_else(|p| p.into_inner());
+    let (persist, _) = inner
+        .appended
+        .wait_timeout_while(persist, inner.config.replication_poll, |p| {
+            p.frontier() == seen && !inner.shutdown.load(Ordering::Acquire)
+        })
+        .unwrap_or_else(|p| p.into_inner());
+    persist.frontier()
 }
 
 /// Handles PROMOTE: fence-check the epoch, quiesce the poll loop, seal

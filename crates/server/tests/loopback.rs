@@ -305,7 +305,6 @@ fn v2_session_refuses_v3_requests_client_side() {
         v2.heartbeat(1).map(|_| ()),
         v2.promote(1).map(|_| ()),
         v2.replicate_poll(1, 0, 0).map(|_| ()),
-        v2.replicate_push(1, 0, 0, Vec::new()).map(|_| ()),
     ] {
         match result {
             Err(ClientError::V3Required { negotiated }) => assert_eq!(negotiated, 2),

@@ -21,8 +21,12 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use stream_durability::{ConnPlan, FaultPlan, FaultyTransport, WalConfig};
 use stream_model::{Domain, Update};
-use stream_server::{ClientConfig, ClientError, Role, Server, ServerClient, ServerConfig};
-use stream_wire::{ErrorCode, Frame, StreamId, WireError, DEFAULT_MAX_PAYLOAD, VERSION};
+use stream_server::{
+    BatchOutcome, ClientConfig, ClientError, Role, Server, ServerClient, ServerConfig,
+};
+use stream_wire::{
+    ErrorCode, Frame, StreamId, WireError, DEFAULT_MAX_PAYLOAD, PROTOCOL_VERSION, VERSION,
+};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -326,7 +330,8 @@ fn promotion_preserves_dedup_and_accepts_writes() {
 #[test]
 fn fenced_zombie_replicate_is_rejected() {
     let _guard = serial();
-    let schema = SkimmedSchema::scanning(Domain::with_log2(8), 3, 32, 1);
+    let domain_log2 = 8;
+    let schema = SkimmedSchema::scanning(Domain::with_log2(domain_log2), 3, 32, 1);
     let (pdir, fdir) = (scratch_dir("fence-p"), scratch_dir("fence-f"));
 
     let primary = Server::bind("127.0.0.1:0", wal_config(schema.clone(), &pdir)).unwrap();
@@ -335,28 +340,195 @@ fn fenced_zombie_replicate_is_rejected() {
         follower_config(schema.clone(), &fdir, &primary.local_addr().to_string()),
     )
     .unwrap();
+    let mut producer = ServerClient::connect_with(primary.local_addr(), client_config(3)).unwrap();
+    producer
+        .send_all(StreamId::F, &mixed_updates(1_000, domain_log2, 0xFE4C), 250)
+        .unwrap();
+    producer.goodbye().unwrap();
+    assert!(caught_up(&primary, &follower));
     primary.halt();
     let mut admin = ServerClient::connect(follower.local_addr()).unwrap();
     assert_eq!(admin.promote(2).unwrap(), 2);
     admin.goodbye().unwrap();
+    let (frontier, mass) = (frontier_of(&follower), total_mass(&follower));
 
-    // A resurrected ex-primary still believes in epoch 1 and pushes a
-    // late REPLICATE at the promoted node: the epoch check rejects it
-    // before anything touches the WAL (split-brain defense).
-    let mut zombie = ServerClient::connect(follower.local_addr()).unwrap();
-    match zombie.replicate_push(1, 0, 0, vec![0xAA; 32]) {
-        Err(ClientError::Server { code, message }) => {
-            assert_eq!(code, ErrorCode::Fenced);
-            assert!(
-                message.contains('2'),
-                "rejection names the epoch: {message}"
-            );
-        }
-        other => panic!("stale-epoch REPLICATE must be fenced, got {other:?}"),
+    // A resurrected ex-primary still believes in epoch 1 and writes a
+    // late REPLICATE at the promoted node: a well-formed record chained
+    // exactly onto its frontier. Replication is pull-only, so no node
+    // takes a REPLICATE it did not poll for: the frame is refused as a
+    // protocol error before anything touches the WAL (split-brain
+    // defense).
+    let mut zombie = raw_session(&follower);
+    let record = stream_wire::encode_update_batch(StreamId::F, 0, 0, &[Update::insert(1); 16]);
+    Frame::Replicate {
+        epoch: 1,
+        segment: frontier.0,
+        offset: frontier.1,
+        snapshot: false,
+        frontier_segment: frontier.0,
+        frontier_offset: frontier.1 + record.len() as u64,
+        bytes: record,
+    }
+    .write_to(&mut zombie)
+    .unwrap();
+    match read_reply(&mut zombie) {
+        Frame::Error { code, .. } => assert_eq!(code, ErrorCode::Protocol),
+        other => panic!("an unsolicited REPLICATE must be refused, got {other:?}"),
     }
     drop(zombie);
+    assert_eq!(
+        frontier_of(&follower),
+        frontier,
+        "the refused chunk reached the WAL"
+    );
+    assert_eq!(
+        total_mass(&follower),
+        mass,
+        "the refused chunk reached the sketches"
+    );
 
     follower.shutdown().unwrap();
+    std::fs::remove_dir_all(&pdir).ok();
+    std::fs::remove_dir_all(&fdir).ok();
+}
+
+#[test]
+fn follower_drops_poll_replies_from_a_deposed_primary() {
+    let _guard = serial();
+    let domain_log2 = 8;
+    let schema = SkimmedSchema::scanning(Domain::with_log2(domain_log2), 3, 32, 5);
+    let (adir, bdir, cdir, ddir) = (
+        scratch_dir("depose-a"),
+        scratch_dir("depose-b"),
+        scratch_dir("depose-c"),
+        scratch_dir("depose-d"),
+    );
+
+    // A (primary) → B; B is promoted to epoch 2 and C follows it,
+    // learning epoch 2 from B's replies.
+    let a = Server::bind("127.0.0.1:0", wal_config(schema.clone(), &adir)).unwrap();
+    let b = {
+        let b = Server::bind(
+            "127.0.0.1:0",
+            follower_config(schema.clone(), &bdir, &a.local_addr().to_string()),
+        )
+        .unwrap();
+        let mut producer = ServerClient::connect_with(a.local_addr(), client_config(61)).unwrap();
+        producer
+            .send_all(StreamId::F, &mixed_updates(1_000, domain_log2, 0xA), 250)
+            .unwrap();
+        producer.goodbye().unwrap();
+        assert!(caught_up(&a, &b));
+        a.halt();
+        let mut admin = ServerClient::connect(b.local_addr()).unwrap();
+        assert_eq!(admin.promote(2).unwrap(), 2);
+        admin.goodbye().unwrap();
+        b
+    };
+    let c = Server::bind(
+        "127.0.0.1:0",
+        follower_config(schema.clone(), &cdir, &b.local_addr().to_string()),
+    )
+    .unwrap();
+    assert!(eventually(|| c.epoch() == 2), "C never learned epoch 2");
+    assert!(eventually(|| total_mass(&c) == total_mass(&b)));
+    let (frontier, mass) = (frontier_of(&c), total_mass(&c));
+
+    // D: a fresh epoch-1 primary with more log than C holds, so its
+    // records would chain onto C's frontier if C took them.
+    let dconfig = wal_config(schema.clone(), &ddir);
+    let seeded = Server::bind("127.0.0.1:0", dconfig.clone()).unwrap();
+    let mut producer = ServerClient::connect_with(seeded.local_addr(), client_config(62)).unwrap();
+    producer
+        .send_all(StreamId::F, &mixed_updates(4_000, domain_log2, 0xD), 250)
+        .unwrap();
+    producer.goodbye().unwrap();
+    seeded.halt();
+
+    // B dies and D comes up on B's address, so C's poll loop reconnects
+    // to it and gets epoch-1 replies.
+    let fenced = || {
+        stream_telemetry::global()
+            .counter("server_replication_fenced_total")
+            .get()
+    };
+    let fenced_before = fenced();
+    let b_addr = b.local_addr();
+    b.halt();
+    let d = Server::bind(b_addr, dconfig).unwrap();
+    assert_eq!(d.epoch(), 1);
+    if stream_telemetry::ENABLED {
+        assert!(
+            eventually(|| fenced() > fenced_before),
+            "C never polled the deposed epoch"
+        );
+    } else {
+        std::thread::sleep(Duration::from_millis(300));
+    }
+    assert_eq!(frontier_of(&c), frontier, "a fenced reply reached C's WAL");
+    assert_eq!(total_mass(&c), mass, "a fenced reply reached C's sketches");
+    assert_eq!(c.epoch(), 2);
+
+    c.shutdown().unwrap();
+    d.shutdown().unwrap();
+    for dir in [adir, bdir, cdir, ddir] {
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn gated_acks_are_released_by_the_follower_ack_not_a_poll_tick() {
+    let _guard = serial();
+    let schema = SkimmedSchema::scanning(Domain::with_log2(8), 3, 32, 9);
+    let (pdir, fdir) = (scratch_dir("gate-p"), scratch_dir("gate-f"));
+    // A long hold window: a follower that only re-polled on a timer
+    // would make every gated ack wait most of it.
+    let slow_poll = |mut config: ServerConfig| {
+        config.replication_poll = Duration::from_millis(200);
+        config.read_timeout = Duration::from_secs(1);
+        config
+    };
+    let primary =
+        Server::bind("127.0.0.1:0", slow_poll(wal_config(schema.clone(), &pdir))).unwrap();
+    let follower = Server::bind(
+        "127.0.0.1:0",
+        slow_poll(follower_config(
+            schema.clone(),
+            &fdir,
+            &primary.local_addr().to_string(),
+        )),
+    )
+    .unwrap();
+    // Attach the follower: once it has polled, every sequenced ack
+    // waits for its covering ack.
+    let mut producer = ServerClient::connect_with(primary.local_addr(), client_config(71)).unwrap();
+    producer
+        .send_batch(StreamId::F, &[Update::insert(1); 8])
+        .unwrap();
+    assert!(caught_up(&primary, &follower));
+
+    let start = Instant::now();
+    for i in 0..20u64 {
+        let outcome = producer
+            .send_batch(StreamId::F, &[Update::insert(i); 8])
+            .unwrap();
+        assert_eq!(
+            outcome,
+            BatchOutcome::Accepted(8),
+            "batch {i} was not acked"
+        );
+    }
+    let took = start.elapsed();
+    producer.goodbye().unwrap();
+    assert!(
+        took < Duration::from_secs(1),
+        "20 gated acks took {took:?}: acks wait on a poll tick"
+    );
+    assert!(caught_up(&primary, &follower));
+    assert_bit_identical(&primary, &follower);
+
+    follower.shutdown().unwrap();
+    primary.shutdown().unwrap();
     std::fs::remove_dir_all(&pdir).ok();
     std::fs::remove_dir_all(&fdir).ok();
 }
@@ -521,6 +693,37 @@ fn torn_wal_tail_is_truncated_and_counted_on_recovery() {
     }
     server.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A node's durable WAL frontier, read over HEARTBEAT.
+fn frontier_of(server: &Server) -> (u64, u64) {
+    let mut probe = ServerClient::connect(server.local_addr()).expect("probe");
+    let status = probe.heartbeat(0).expect("heartbeat");
+    let _ = probe.goodbye();
+    (status.segment, status.offset)
+}
+
+/// Total sketch mass over both streams.
+fn total_mass(server: &Server) -> u64 {
+    [StreamId::F, StreamId::G]
+        .iter()
+        .map(|&s| server.snapshot(s).expect("snapshot").l1_mass())
+        .sum()
+}
+
+/// A raw protocol-v3 session on `server`, past the HELLO exchange.
+fn raw_session(server: &Server) -> TcpStream {
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_millis(100)))
+        .unwrap();
+    Frame::Hello {
+        protocol: PROTOCOL_VERSION,
+        client: "raw".into(),
+    }
+    .write_to(&mut raw)
+    .unwrap();
+    assert!(matches!(read_reply(&mut raw), Frame::HelloAck(_)));
+    raw
 }
 
 fn read_reply(sock: &mut TcpStream) -> Frame {
